@@ -11,8 +11,9 @@
 //       are capped).
 //
 // Counters report both wall-clock seconds and, for AED, the critical-path
-// seconds a multi-core machine would see (this host is single-core, so the
-// per-destination subproblems run back to back).
+// seconds: the longest single subproblem, which is what a machine with at
+// least as many cores as subproblems would see. Wall-clock seconds depend on
+// the cores the run actually gets.
 //
 // Run: ./build/bench/bench_fig11_perf
 

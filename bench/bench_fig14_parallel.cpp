@@ -6,11 +6,12 @@
 //       devices vs the global optimum. Paper: at most one network gained 2
 //       devices.
 //
-// This host is single-core, so two speedups are reported:
+// Two speedups are reported, so the result does not depend on the core
+// count of the machine that runs the bench:
 //   speedupCriticalPath = monolithic seconds / max subproblem seconds
 //       (what a machine with >= #subproblems cores would observe), and
 //   speedupWork = monolithic seconds / sum of subproblem seconds
-//       (the decomposition benefit alone, visible even single-core).
+//       (the decomposition benefit alone, visible even on one core).
 //
 // Run: ./build/bench/bench_fig14_parallel
 

@@ -1,27 +1,26 @@
-// Incremental re-solve engine vs fresh-per-round rebuilding.
+// Incremental re-solve engine on a repair-heavy scenario.
 //
 // The repair loop is AED's counterexample-guided core: when a candidate
 // patch fails simulator validation, the offending delta combination is
-// blocked and the affected subproblems re-solved. This bench measures what
-// keeping the per-destination solvers alive across rounds (sketch, Z3
-// session, encoding reused; only the new blocking clauses pushed) buys over
-// rebuilding every subproblem from scratch each round.
+// blocked and the affected subproblems re-solved. The per-destination
+// solvers stay alive across rounds (sketch, Z3 session and encoding reused;
+// only the new blocking clauses added), so a repair round should be almost
+// pure solve time. This bench measures that split.
 //
 // A repair-heavy scenario is forced deterministically: two rack subnets'
 // originations are withdrawn (each restorable several distinct ways, so
 // blocking a candidate delta set leaves alternatives), and
 // FaultInjection::kRejectValidation rejects the first N otherwise-passing
-// verdicts, so N full blocking + re-solve rounds run for real. Both modes
-// must converge to a simulator-validated patch (identical policy-compliance
-// verdicts); the bench asserts that.
+// verdicts, so N full blocking + re-solve rounds run for real. The bench
+// asserts at least N repair rounds and a simulator-validated final patch.
 //
-// Counters (per mode):
-//   repairRounds       — forced + organic repair rounds taken
-//   firstRoundSeconds  — sketch+encode+solve+extract+simulate, round 0
-//   repairSeconds      — same, summed over all repair rounds
-//   repairSolveSeconds — pure solver time within the repair rounds
-// and for the head-to-head case:
-//   repairSpeedup      — fresh repairSeconds / incremental repairSeconds
+// Counters:
+//   repairRounds        — forced + organic repair rounds taken
+//   firstRoundSeconds   — sketch+encode+solve+extract+simulate, round 0
+//   repairSeconds       — same, summed over all repair rounds
+//   repairSolveSeconds  — pure solver time within the repair rounds
+//   repairEncodeSeconds — encoding time within the repair rounds (0: the
+//                         persistent solvers never re-encode)
 //
 // Run: ./build/bench/bench_incremental
 //   (JSON for CI trend tracking: --benchmark_out=BENCH_incremental.json
@@ -54,9 +53,8 @@ Scenario repairHeavyScenario(int routers) {
   return scenario;
 }
 
-AedOptions repairHeavyOptions(bool incremental) {
+AedOptions repairHeavyOptions() {
   AedOptions options;
-  options.incrementalResolve = incremental;
   options.maxRepairIterations = kForcedRejections + 3;
   options.faultInjection.kind = FaultInjection::Kind::kRejectValidation;
   options.faultInjection.rejectRounds = kForcedRejections;
@@ -69,16 +67,14 @@ void setCounters(benchmark::State& state, const AedResult& r) {
   state.counters["repairSeconds"] = r.stats.repair.total();
   state.counters["repairSolveSeconds"] = r.stats.repair.solveSeconds;
   state.counters["repairEncodeSeconds"] = r.stats.repair.encodeSeconds;
-  state.counters["warmStartSolves"] =
-      static_cast<double>(r.stats.warmStartSolves);
 }
 
-void repairHeavyCase(benchmark::State& state, int routers, bool incremental) {
+void repairHeavyCase(benchmark::State& state, int routers) {
   const Scenario scenario = repairHeavyScenario(routers);
 
   for (auto _ : state) {
     const AedResult r = synthesize(scenario.net.tree, scenario.policies, {},
-                                   repairHeavyOptions(incremental));
+                                   repairHeavyOptions());
     if (!r.success) return state.SkipWithError(r.error.c_str());
     if (r.stats.repairRounds < kForcedRejections) {
       return state.SkipWithError("scenario was not repair-heavy");
@@ -88,57 +84,14 @@ void repairHeavyCase(benchmark::State& state, int routers, bool incremental) {
   }
 }
 
-// Head-to-head in one iteration so the ratio lands in a single JSON entry.
-void speedupCase(benchmark::State& state, int routers) {
-  const Scenario scenario = repairHeavyScenario(routers);
-
-  for (auto _ : state) {
-    const AedResult fresh = synthesize(scenario.net.tree, scenario.policies,
-                                       {}, repairHeavyOptions(false));
-    const AedResult incremental = synthesize(
-        scenario.net.tree, scenario.policies, {}, repairHeavyOptions(true));
-    if (!fresh.success) return state.SkipWithError(fresh.error.c_str());
-    if (!incremental.success) {
-      return state.SkipWithError(incremental.error.c_str());
-    }
-    // Identical policy-compliance verdicts: both patches must leave zero
-    // violated policies in the concrete simulator.
-    requireCorrect(fresh.updated, scenario.policies, state);
-    requireCorrect(incremental.updated, scenario.policies, state);
-
-    const double freshRepair = fresh.stats.repair.total();
-    const double incrementalRepair = incremental.stats.repair.total();
-    state.counters["freshRepairSeconds"] = freshRepair;
-    state.counters["incrementalRepairSeconds"] = incrementalRepair;
-    state.counters["repairSpeedup"] =
-        incrementalRepair > 0.0 ? freshRepair / incrementalRepair : 0.0;
-    state.counters["repairRounds"] =
-        static_cast<double>(incremental.stats.repairRounds);
-  }
-}
-
 void registerCases() {
   std::vector<int> sizes = {4, 8};
   if (aedbench::fullScale()) sizes = {4, 8, 12, 16};
   for (int routers : sizes) {
     const std::string base = "Incremental/dc" + std::to_string(routers);
     benchmark::RegisterBenchmark(
-        (base + "/freshPerRound").c_str(),
-        [routers](benchmark::State& state) {
-          repairHeavyCase(state, routers, false);
-        })
-        ->Unit(benchmark::kSecond)
-        ->Iterations(1);
-    benchmark::RegisterBenchmark(
         (base + "/incremental").c_str(),
-        [routers](benchmark::State& state) {
-          repairHeavyCase(state, routers, true);
-        })
-        ->Unit(benchmark::kSecond)
-        ->Iterations(1);
-    benchmark::RegisterBenchmark(
-        (base + "/speedup").c_str(),
-        [routers](benchmark::State& state) { speedupCase(state, routers); })
+        [routers](benchmark::State& state) { repairHeavyCase(state, routers); })
         ->Unit(benchmark::kSecond)
         ->Iterations(1);
   }

@@ -18,10 +18,11 @@
 //     The cold speedup is asserted >= 3x: the algorithmic win is roughly
 //     (policies x sources) / destinations, far above 3 on these shapes.
 //   Simulator/dcN/repair — full synthesize() with kRejectValidation forcing
-//     repair rounds, memoized engine vs fresh-per-round oracle:
-//     freshSimulateSeconds / memoSimulateSeconds — repair-round validation
-//     simulateSpeedup, plus the engine's cache counters (hitRatePct,
-//     invalidatedTables, targetedInvalidations).
+//     repair rounds, validated by the persistent engine:
+//     firstSimulateSeconds / repairSimulateSeconds — validation time in
+//     round 0 and summed over the repair rounds, plus the engine's cache
+//     counters (hitRatePct, invalidatedTables, targetedInvalidations,
+//     fullInvalidations).
 //
 // Run: ./build/bench/bench_simulator
 //   (JSON for CI trend tracking: --benchmark_out=BENCH_simulator.json
@@ -121,9 +122,8 @@ Scenario repairHeavyScenario(int routers) {
   return scenario;
 }
 
-AedOptions repairOptions(bool memoized) {
+AedOptions repairOptions() {
   AedOptions options;
-  options.memoizedSimulator = memoized;
   options.maxRepairIterations = kForcedRejections + 3;
   options.faultInjection.kind = FaultInjection::Kind::kRejectValidation;
   options.faultInjection.rejectRounds = kForcedRejections;
@@ -134,37 +134,27 @@ void repairCase(benchmark::State& state, int routers) {
   const Scenario scenario = repairHeavyScenario(routers);
 
   for (auto _ : state) {
-    const AedResult fresh = synthesize(scenario.net.tree, scenario.policies,
-                                       {}, repairOptions(false));
-    const AedResult memo = synthesize(scenario.net.tree, scenario.policies, {},
-                                      repairOptions(true));
-    if (!fresh.success) return state.SkipWithError(fresh.error.c_str());
-    if (!memo.success) return state.SkipWithError(memo.error.c_str());
-    if (memo.stats.repairRounds < kForcedRejections) {
+    const AedResult result = synthesize(scenario.net.tree, scenario.policies,
+                                        {}, repairOptions());
+    if (!result.success) return state.SkipWithError(result.error.c_str());
+    if (result.stats.repairRounds < kForcedRejections) {
       return state.SkipWithError("scenario was not repair-heavy");
     }
-    requireCorrect(fresh.updated, scenario.policies, state);
-    requireCorrect(memo.updated, scenario.policies, state);
+    requireCorrect(result.updated, scenario.policies, state);
 
-    const double freshRepairSim = fresh.stats.repair.simulateSeconds;
-    const double memoRepairSim = memo.stats.repair.simulateSeconds;
     state.counters["repairRounds"] =
-        static_cast<double>(memo.stats.repairRounds);
-    state.counters["freshFirstSimulateSeconds"] =
-        fresh.stats.firstRound.simulateSeconds;
-    state.counters["memoFirstSimulateSeconds"] =
-        memo.stats.firstRound.simulateSeconds;
-    state.counters["freshSimulateSeconds"] = freshRepairSim;
-    state.counters["memoSimulateSeconds"] = memoRepairSim;
-    state.counters["simulateSpeedup"] =
-        memoRepairSim > 0.0 ? freshRepairSim / memoRepairSim : 0.0;
-    state.counters["hitRatePct"] = memo.stats.simulate.hitRate() * 100.0;
+        static_cast<double>(result.stats.repairRounds);
+    state.counters["firstSimulateSeconds"] =
+        result.stats.firstRound.simulateSeconds;
+    state.counters["repairSimulateSeconds"] =
+        result.stats.repair.simulateSeconds;
+    state.counters["hitRatePct"] = result.stats.simulate.hitRate() * 100.0;
     state.counters["invalidatedTables"] =
-        static_cast<double>(memo.stats.simulate.invalidatedEntries);
+        static_cast<double>(result.stats.simulate.invalidatedEntries);
     state.counters["targetedInvalidations"] =
-        static_cast<double>(memo.stats.simulate.targetedInvalidations);
+        static_cast<double>(result.stats.simulate.targetedInvalidations);
     state.counters["fullInvalidations"] =
-        static_cast<double>(memo.stats.simulate.fullInvalidations);
+        static_cast<double>(result.stats.simulate.fullInvalidations);
   }
 }
 

@@ -142,12 +142,10 @@ void printSolverStats(const aed::AedResult& result) {
     }
   }
   std::cout << "  rung totals:";
-  static const char* kRungLabels[] = {"none",      "warm-start", "full",
-                                      "no-minimality", "hard-only", "unsat",
-                                      "gave-up"};
   for (std::size_t i = 0; i < result.stats.rungCounts.size(); ++i) {
     if (result.stats.rungCounts[i] == 0) continue;
-    std::cout << " " << kRungLabels[i] << "=" << result.stats.rungCounts[i];
+    std::cout << " " << aed::solveRungName(static_cast<aed::SolveRung>(i))
+              << "=" << result.stats.rungCounts[i];
   }
   std::cout << "\n";
 }
@@ -299,9 +297,7 @@ int main(int argc, char** argv) {
     std::cout << "phase breakdown:\n";
     printPhases("first round", result.stats.firstRound);
     if (result.stats.repairRounds > 0) {
-      std::cout << "  repair rounds: " << result.stats.repairRounds
-                << ", warm-start re-solves: " << result.stats.warmStartSolves
-                << "\n";
+      std::cout << "  repair rounds: " << result.stats.repairRounds << "\n";
       printPhases("repair", result.stats.repair);
     }
     const SimCacheStats& sim = result.stats.simulate;

@@ -279,15 +279,15 @@ class Checker {
 
   void checkPatchInvariants() {
     if (want(Invariant::kIncrementalEquiv) && unsat_ && !scenario_.patch) {
-      // A fresh solve must agree the policies conflict.
+      // A re-solve without the injected fault must agree the policies
+      // conflict.
       guarded(Invariant::kIncrementalEquiv, [&] {
-        AedOptions fresh = scenario_.options();
-        fresh.incrementalResolve = false;
-        const AedResult result =
-            synthesize(scenario_.tree, scenario_.policies, {}, fresh);
+        const AedResult result = synthesize(
+            scenario_.tree, scenario_.policies, {}, scenario_.options());
         if (result.success || result.errorCode != ErrorCode::kUnsat) {
           fail(Invariant::kIncrementalEquiv, "unsat-divergence",
-               "incremental solve reported unsat but fresh solve returned [" +
+               "the run reported unsat but the re-solve without the "
+               "injected fault returned [" +
                    std::string(errorCodeName(result.errorCode)) + "] " +
                    result.error);
         }
@@ -374,13 +374,12 @@ class Checker {
 
     if (want(Invariant::kIncrementalEquiv) && !scenario_.patch) {
       guarded(Invariant::kIncrementalEquiv, [&] {
-        AedOptions fresh = scenario_.options();
-        fresh.incrementalResolve = false;
-        const AedResult result =
-            synthesize(scenario_.tree, scenario_.policies, {}, fresh);
+        const AedResult result = synthesize(
+            scenario_.tree, scenario_.policies, {}, scenario_.options());
         if (!result.success) {
           fail(Invariant::kIncrementalEquiv, "fresh-failed",
-               "fresh solve failed where the incremental solve succeeded [" +
+               "the re-solve without the injected fault failed where the "
+               "run succeeded [" +
                    std::string(errorCodeName(result.errorCode)) +
                    "]: " + result.error);
           return;
@@ -389,7 +388,7 @@ class Checker {
         const PolicySet violated = after.violations(scenario_.policies);
         if (!violated.empty()) {
           fail(Invariant::kIncrementalEquiv, "violations",
-               "fresh-solve result violates " +
+               "the re-solve's result violates " +
                    std::to_string(violated.size()) + " policies: " +
                    summarize(policyStrings(violated)));
         }

@@ -20,8 +20,10 @@
 //                    apply followed by rollback() does too
 //   staged-oneshot   clean staged-deployment execution lands on the same
 //                    printed network as the one-shot merged apply
-//   incremental-equiv the incremental re-solve result is policy-equivalent
-//                    to a from-scratch fresh solve
+//   incremental-equiv the run's result is policy-equivalent to a re-solve
+//                    of the same scenario without its injected fault (e.g.
+//                    forced validation rejections): both succeed with a
+//                    patch the serial oracle accepts, or both report unsat
 //
 // Metamorphic invariants (input transformations that must not change
 // verdicts):

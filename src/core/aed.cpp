@@ -14,7 +14,6 @@
 #include "obs/progress.hpp"
 #include "obs/trace.hpp"
 #include "simulate/engine.hpp"
-#include "simulate/simulator.hpp"
 #include "util/error.hpp"
 #include "util/log.hpp"
 #include "util/strings.hpp"
@@ -153,8 +152,6 @@ void publishStats(const AedResult& result) {
   metrics.add("aed.subproblems_failed",
               static_cast<double>(stats.failedSubproblems));
   metrics.add("aed.repair_rounds", static_cast<double>(stats.repairRounds));
-  metrics.add("aed.warm_start_solves",
-              static_cast<double>(stats.warmStartSolves));
   metrics.add("aed.delta_count", static_cast<double>(stats.deltaCount));
   metrics.add("aed.sum_subproblem_seconds", stats.sumSubproblemSeconds);
   publishPhase(metrics, "aed.phase.first_round", stats.firstRound);
@@ -177,13 +174,12 @@ void publishStats(const AedResult& result) {
 
   // Ladder-rung outcome counters (§12), registered even at zero so the
   // snapshot is complete (a missing known stat fails tests/obs_test.cpp).
-  static const char* const kRungCounterNames[] = {
-      "smt.rung.none",          "smt.rung.warm_start", "smt.rung.full",
-      "smt.rung.no_minimality", "smt.rung.hard_only",  "smt.rung.unsat",
-      "smt.rung.gave_up",
-  };
+  // Names derive from solveRungName ("hard-only" → "smt.rung.hard_only").
   for (std::size_t r = 1; r < stats.rungCounts.size(); ++r) {
-    metrics.add(kRungCounterNames[r], static_cast<double>(stats.rungCounts[r]));
+    std::string name = std::string("smt.rung.") +
+                       solveRungName(static_cast<SolveRung>(r));
+    std::replace(name.begin(), name.end(), '-', '_');
+    metrics.add(name, static_cast<double>(stats.rungCounts[r]));
   }
 
   // Touch the engine histograms so they exist in every post-run snapshot,
@@ -305,18 +301,13 @@ AedResult synthesize(const ConfigTree& tree, const PolicySet& policies,
   std::vector<SolverStats> solverTotals(groups.size());
 
   // One persistent solver per destination group, alive across repair rounds
-  // (the incremental re-solve engine): a repair round pushes only the new
-  // blocked-delta clauses into the existing z3::optimize instance instead of
+  // (the incremental re-solve engine): a repair round adds only the new
+  // blocked-delta clauses to the existing z3::optimize instance instead of
   // re-encoding from scratch. Each solver owns its own z3::context, so the
   // parallel engine can drive distinct solvers from distinct workers; a
-  // worker only ever touches its own group's solver. With
-  // incrementalResolve off, a fresh solver is built per round (the
-  // pre-incremental baseline, kept for A/B benchmarking).
+  // worker only ever touches its own group's solver. A solver is rebuilt
+  // only after it threw (see solveOne).
   std::vector<std::unique_ptr<SubproblemSolver>> solvers(groups.size());
-  const auto freshSolver = [&](std::size_t i) {
-    return std::make_unique<SubproblemSolver>(tree, topo, groups[i],
-                                              objectives, effective);
-  };
 
   // Fills the outcome report and aggregate stats from subResults, then
   // mirrors them into the unified metrics registry; called exactly once on
@@ -517,8 +508,9 @@ AedResult synthesize(const ConfigTree& tree, const PolicySet& policies,
         if (options.subproblemTimeoutMs != 0) {
           deadline = Deadline::after(options.subproblemTimeoutMs).min(deadline);
         }
-        if (solvers[i] == nullptr || !effective.incrementalResolve) {
-          solvers[i] = freshSolver(i);
+        if (solvers[i] == nullptr) {
+          solvers[i] = std::make_unique<SubproblemSolver>(
+              tree, topo, groups[i], objectives, effective);
         }
         subResults[i] = solvers[i]->solve(
             blocked, deadline,
@@ -585,11 +577,11 @@ AedResult synthesize(const ConfigTree& tree, const PolicySet& policies,
     for (std::size_t i : pending) needsSolve[i] = false;
 
     // Per-phase timing, split by round kind: round 0 is where every
-    // subproblem pays sketch + encode; with incrementalResolve the repair
-    // bucket's sketch/encode stay ~0 because the persistent solvers reuse
-    // their encodings. Merged before the fatal rethrow below so the work the
-    // siblings completed this round stays attributable even when the run
-    // unwinds (the guard above publishes it).
+    // subproblem pays sketch + encode; the repair bucket's sketch/encode stay
+    // 0 because the persistent solvers reuse their encodings. Merged before
+    // the fatal rethrow below so the work the siblings completed this round
+    // stays attributable even when the run unwinds (the guard above
+    // publishes it).
     PhaseBreakdown& phaseBucket =
         round == 0 ? result.stats.firstRound : result.stats.repair;
     for (std::size_t i : pending) {
@@ -598,7 +590,6 @@ AedResult synthesize(const ConfigTree& tree, const PolicySet& policies,
       phaseBucket.encodeSeconds += sub.phases.encodeSeconds;
       phaseBucket.solveSeconds += sub.phases.solveSeconds;
       phaseBucket.extractSeconds += sub.phases.extractSeconds;
-      if (sub.warmStart) ++result.stats.warmStartSolves;
       // §12 introspection, merged post-join on this thread: per-solve
       // latency/effort distributions and ladder-rung outcomes.
       histSubproblemSeconds().record(sub.seconds);
@@ -690,20 +681,15 @@ AedResult synthesize(const ConfigTree& tree, const PolicySet& policies,
     {
       AED_SPAN("aed.validate");
       Progress::setPhase("validate");
-      if (options.memoizedSimulator) {
-        if (simEngine == nullptr) {
-          simEngine = std::make_unique<SimulationEngine>(
-              updated, options.workers, options.simCacheMaxEntries);
-        } else {
-          simEngine->rebind(updated, {&lastMerged, &merged});
-        }
-        lastMerged = merged;
-        violated = simEngine->violations(survivingPolicies);
-        result.stats.simulate = simEngine->cacheStats();
+      if (simEngine == nullptr) {
+        simEngine = std::make_unique<SimulationEngine>(
+            updated, options.workers, options.simCacheMaxEntries);
       } else {
-        Simulator sim(updated);
-        violated = sim.violations(survivingPolicies);
+        simEngine->rebind(updated, {&lastMerged, &merged});
       }
+      lastMerged = merged;
+      violated = simEngine->violations(survivingPolicies);
+      result.stats.simulate = simEngine->cacheStats();
     }
     phaseBucket.simulateSeconds += secondsSince(simulateStart);
     // Deterministic fault injection for repair-heavy scenarios: treat the

@@ -96,27 +96,19 @@ struct AedOptions {
   /// Worker threads for the parallel decomposition (0 = hardware).
   std::size_t workers = 0;
 
-  /// User objectives are scaled by this factor so they dominate the default
-  /// per-delta minimality pressure. Matches the paper's "equal weight by
-  /// default" within the user's objectives.
-  unsigned objectiveWeightScale = 1000;
   /// Unit-weight soft constraints preferring every delta inactive (doubles
   /// as the min-lines objective; keeps patches free of gratuitous edits).
+  /// User objectives are scaled to dominate them.
   bool defaultMinimality = true;
-  unsigned minimalityWeight = 1;
 
   /// Validate candidate patches with the simulator and re-solve with the
   /// failing delta set blocked, up to this many rounds per subproblem.
+  /// Validation runs on the memoized, parallel SimulationEngine, which
+  /// persists across repair rounds and invalidates only the destinations
+  /// affected by the round's merged patch. Its verdicts are bit-identical
+  /// to the serial Simulator oracle (asserted by tests and aed_check).
   bool validateWithSimulator = true;
   int maxRepairIterations = 3;
-
-  /// Validate with the memoized, parallel SimulationEngine instead of a
-  /// fresh serial Simulator each round. The engine persists across repair
-  /// rounds and invalidates only the destinations affected by the round's
-  /// merged patch, so repeat validations mostly hit the route-table cache.
-  /// Verdicts are bit-identical either way (asserted by tests); false keeps
-  /// the from-scratch oracle for A/B benchmarking.
-  bool memoizedSimulator = true;
 
   /// Entry cap for the SimulationEngine's route-table memo cache
   /// (0 = unlimited); least-recently-used tables are evicted past the cap.
@@ -132,15 +124,6 @@ struct AedOptions {
   /// Planner/executor knobs for stagedDeployment. workers and
   /// simCacheMaxEntries inherit the outer options when left 0.
   DeployOptions deploy;
-
-  /// Incremental re-solve (the paper's headline lever, applied to the repair
-  /// loop): keep one persistent SubproblemSolver — sketch, Z3 session, and
-  /// encoding — per destination group for the whole run, so a repair round
-  /// only pushes the new blocked-delta clauses into the live solver and
-  /// re-checks. When false, every repair round rebuilds the subproblem from
-  /// scratch (the pre-incremental behavior; kept for A/B benchmarking in
-  /// bench_incremental).
-  bool incrementalResolve = true;
 
   /// Global wall-clock budget in milliseconds for the whole run, split
   /// across queued subproblems and wired to Z3's timeout parameter.
@@ -221,25 +204,19 @@ struct AedStats {
   std::size_t repairRounds = 0;
 
   /// Phase timing, split by round kind: round 0 pays the full
-  /// sketch+encode+solve cost for every subproblem; repair rounds should be
-  /// nearly pure solve time when incrementalResolve is on (sketch/encode
-  /// stay at ~0 because the persistent solvers are reused).
+  /// sketch+encode+solve cost for every subproblem; repair rounds are nearly
+  /// pure solve time (sketch/encode stay at 0 because the persistent
+  /// solvers are reused).
   PhaseBreakdown firstRound;
   PhaseBreakdown repair;
-
-  /// Subproblem re-solves served by the SMT session's warm-start fast path
-  /// (one plain SAT query at the previous optimum instead of a full MaxSMT
-  /// run). Only persistent solvers can warm-start, so this stays 0 with
-  /// incrementalResolve off.
-  std::size_t warmStartSolves = 0;
 
   /// Ladder-rung outcome counts across every solve of the run (one count per
   /// SmtSession::check call that returned; mirrored as smt.rung.* counters).
   /// Indexed by static_cast<size_t>(SolveRung).
-  std::array<std::size_t, 7> rungCounts{};
+  std::array<std::size_t, kSolveRungCount> rungCounts{};
 
   /// Simulation-engine cache behavior across all validation rounds (zeroed
-  /// when memoizedSimulator is off or validation never ran).
+  /// when validation never ran).
   SimCacheStats simulate;
 };
 

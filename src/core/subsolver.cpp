@@ -13,6 +13,14 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
+/// User objectives are scaled by this factor so they dominate the default
+/// per-delta minimality pressure; within the user's objectives the paper's
+/// "equal weight by default" still holds.
+constexpr unsigned kObjectiveWeightScale = 1000;
+/// Weight of each per-delta minimality soft (doubles as the min-lines
+/// objective; keeps patches free of gratuitous edits).
+constexpr unsigned kMinimalityWeight = 1;
+
 double secondsSince(Clock::time_point start) {
   return std::chrono::duration<double>(Clock::now() - start).count();
 }
@@ -57,11 +65,11 @@ void SubproblemSolver::ensureEncoded(SubResult& result) {
   // are added once; repair rounds re-optimize the same objective system.
   std::vector<Objective> scaled = objectives_;
   for (Objective& objective : scaled) {
-    objective.weight *= options_.objectiveWeightScale;
+    objective.weight *= kObjectiveWeightScale;
   }
   addObjectives(*encoder_, scaled);
   if (options_.defaultMinimality) {
-    addPerDeltaMinimality(*encoder_, options_.minimalityWeight);
+    addPerDeltaMinimality(*encoder_, kMinimalityWeight);
   }
   result.phases.encodeSeconds = secondsSince(phaseStart);
 
@@ -80,7 +88,7 @@ SubResult SubproblemSolver::solve(
   session_->setDeadline(deadline);
   if (injectUnknown) session_->injectUnknown(1);
 
-  // Push only the blocked-delta clauses the live solver has not seen yet.
+  // Add only the blocked-delta clauses the live solver has not seen yet.
   // The shared list grows monotonically across repair rounds, so earlier
   // clauses are already asserted (and permanent — see the header).
   for (; blockedApplied_ < blockedDeltaSets.size(); ++blockedApplied_) {
@@ -102,14 +110,10 @@ SubResult SubproblemSolver::solve(
   {
     Span span("subsolver.solve");
     check = session_->check();
-    if (span.active()) {
-      span.setDetail("status=" + check.status +
-                     (check.warmStart ? " warm_start" : ""));
-    }
+    if (span.active()) span.setDetail("status=" + check.status);
   }
   result.phases.solveSeconds = secondsSince(phaseStart);
   result.sat = check.sat;
-  result.warmStart = check.warmStart;
   result.rung = check.rung;
   result.rungReason = std::move(check.rungReason);
   result.solverStats = check.stats;
@@ -134,17 +138,17 @@ SubResult SubproblemSolver::solve(
     return result;
   }
 
-  switch (check.degradation) {
-    case SmtSession::Degradation::kNone:
-      result.outcome = SubOutcome::kOk;
-      break;
-    case SmtSession::Degradation::kNoMinimality:
+  switch (check.rung) {
+    case SolveRung::kNoMinimality:
       result.outcome = SubOutcome::kDegraded;
       result.detail = "degraded: minimality softs dropped";
       break;
-    case SmtSession::Degradation::kHardOnly:
+    case SolveRung::kHardOnly:
       result.outcome = SubOutcome::kDegraded;
       result.detail = "degraded: hard constraints only";
+      break;
+    default:  // kFull: the only other rung a sat answer carries
+      result.outcome = SubOutcome::kOk;
       break;
   }
 

@@ -4,8 +4,10 @@
 // z3::context + z3::optimize instance), and Encoder for one subproblem (the
 // whole problem, or one destination group) for the lifetime of a synthesis
 // run. The first solve() pays the full sketch + encode cost; every repair
-// round after that only pushes the *new* blocked-delta hard clauses into the
+// round after that only adds the *new* blocked-delta hard clauses to the
 // live solver and re-checks, instead of rebuilding everything from scratch.
+// This is synthesize()'s only solve path; a fresh SubproblemSolver given the
+// same blocked list is the from-scratch reference (tests/incremental_test).
 //
 // Why incremental blocking is sound: the blocked-delta list shared across
 // repair rounds grows monotonically — a delta combination that failed
@@ -14,7 +16,6 @@
 // permanent hard constraint, never retracted. Adding hard clauses to a live
 // z3::optimize and re-running check() is exactly Z3's incremental mode; the
 // solver keeps its learned clauses and the unchanged encoding across rounds.
-// Anything tentative should use SmtSession::push()/pop() instead.
 //
 // Thread-safety: a SubproblemSolver owns its own z3::context, so distinct
 // solvers are safe to drive from distinct threads concurrently (the parallel
@@ -58,9 +59,6 @@ struct SubResult {
   double seconds = 0.0;
   std::size_t deltaCount = 0;
   SubproblemPhases phases;
-  /// True when the solve was served by the session's incremental warm-start
-  /// fast path (single SAT query at the previous optimum, no MaxSMT run).
-  bool warmStart = false;
   /// Introspection (§12): which ladder rung answered this solve and why,
   /// plus Z3 effort counters and encoding sizes for the call. Totals across
   /// the rounds of one subproblem accumulate in SubproblemReport.
@@ -72,8 +70,8 @@ struct SubResult {
 class SubproblemSolver {
  public:
   /// `tree` and `topo` must outlive the solver; policies/objectives/options
-  /// are copied (options.objectiveWeightScale, defaultMinimality, anytime,
-  /// randomPhaseSeed, sketch and encoder options are honored).
+  /// are copied (options.defaultMinimality, anytime, randomPhaseSeed, sketch
+  /// and encoder options are honored).
   SubproblemSolver(const ConfigTree& tree, const Topology& topo,
                    PolicySet policies, std::vector<Objective> objectives,
                    const AedOptions& options);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <utility>
 
 #include "obs/trace.hpp"
 #include "util/log.hpp"
@@ -86,30 +87,7 @@ std::size_t SmtSession::addSoft(const z3::expr& constraint, unsigned weight,
   opt_.add_soft(constraint, weight);
   softExprs_.push_back(constraint);
   softInfos_.push_back(SoftInfo{label, weight, kind});
-  lastOptimalCost_.reset();
   return softInfos_.size() - 1;
-}
-
-void SmtSession::push() {
-  opt_.push();
-  probe_.push();
-  scopes_.push_back(Scope{softInfos_.size()});
-}
-
-void SmtSession::pop() {
-  require(!scopes_.empty(), "SmtSession::pop without a matching push");
-  opt_.pop();
-  probe_.pop();
-  const Scope scope = scopes_.back();
-  scopes_.pop_back();
-  // Z3 retracts soft constraints added inside the scope; mirror that in the
-  // registries so objective reporting stays aligned with the solver.
-  softExprs_.resize(scope.softCount, ctx_.bool_val(true));
-  softInfos_.resize(scope.softCount);
-  // The retained model may depend on retracted assertions, and retracting
-  // constraints can lower the optimal cost.
-  model_.reset();
-  lastOptimalCost_.reset();
 }
 
 void SmtSession::randomizePhase(unsigned seed) {
@@ -153,59 +131,20 @@ void SmtSession::reportObjectives(Result& result) const {
   }
 }
 
-bool SmtSession::tryWarmCheck(Result& result) {
-  constexpr unsigned long long kIntMax =
-      static_cast<unsigned long long>(std::numeric_limits<int>::max());
-  try {
-    // cost(model) = sum of weights of violated softs. The bound
-    // cost <= lastOptimalCost_ is expressed as the pseudo-boolean
-    //   sum(weight_i * soft_i) >= totalWeight - lastOptimalCost_.
-    unsigned long long totalWeight = 0;
-    z3::expr_vector literals(ctx_);
-    std::vector<int> coefficients;
-    coefficients.reserve(softExprs_.size());
-    for (std::size_t i = 0; i < softExprs_.size(); ++i) {
-      const unsigned weight = softInfos_[i].weight;
-      if (weight > kIntMax) return false;
-      totalWeight += weight;
-      literals.push_back(softExprs_[i]);
-      coefficients.push_back(static_cast<int>(weight));
-    }
-    if (totalWeight > kIntMax || *lastOptimalCost_ > totalWeight) return false;
-    const int bound = static_cast<int>(totalWeight - *lastOptimalCost_);
+void SmtSession::acceptModel(Result& result, z3::model model, SolveRung rung,
+                             std::string reason) {
+  model_ = std::move(model);
+  result.sat = true;
+  result.status = "sat";
+  result.rung = rung;
+  result.rungReason = std::move(reason);
+  reportObjectives(result);
+}
 
-    // The bound is activated through a fresh assumption indicator so it is
-    // never permanently asserted in the persistent probe solver (the next
-    // round's bound may differ); stale indicators are simply left unasserted.
-    const z3::expr indicator = freshBool("warm");
-    probe_.add(z3::implies(indicator, z3::pbge(literals, coefficients.data(),
-                                               bound)));
-    z3::expr_vector assumptions(ctx_);
-    assumptions.push_back(indicator);
-    if (!applyBudget(probe_)) return false;
-    const z3::check_result probeStatus = probe_.check(assumptions);
-    captureCheck(result.stats, probe_);
-    if (probeStatus != z3::sat) {
-      return false;  // optimum grew (or unknown)
-    }
-
-    // The model's cost is <= the previous optimum, and adding constraints
-    // cannot lower the optimum below it, so this model IS a MaxSMT optimum.
-    model_ = probe_.get_model();
-    result.sat = true;
-    result.status = "sat";
-    result.degradation = Degradation::kNone;
-    result.warmStart = true;
-    result.rung = SolveRung::kWarmStart;
-    result.rungReason = "plain-SAT probe found a model at the previous "
-                        "optimal cost " +
-                        std::to_string(*lastOptimalCost_) +
-                        " (provably still optimal)";
-    reportObjectives(result);
-    return true;
-  } catch (const z3::exception&) {
-    return false;  // pbge unsupported or probe failure: run the full engine
-  }
+z3::solver SmtSession::hardOnlySolver() {
+  z3::solver plain(ctx_);
+  for (const z3::expr& assertion : opt_.assertions()) plain.add(assertion);
+  return plain;
 }
 
 SmtSession::Result SmtSession::check() {
@@ -217,16 +156,6 @@ SmtSession::Result SmtSession::check() {
   try {
     result.stats.assertions = opt_.assertions().size() + softExprs_.size();
   } catch (const z3::exception&) {
-  }
-
-  // ---- rung 0: incremental warm start -------------------------------------
-  // On a re-check after addHard() calls (the repair-round path), first ask a
-  // plain SAT query for a model at the previous optimal cost; see the file
-  // header for why such a model is already optimal. Skipped under fault
-  // injection so forced-degradation tests still exercise the ladder.
-  if (lastOptimalCost_.has_value() && injectUnknown_ == 0 &&
-      !softExprs_.empty() && tryWarmCheck(result)) {
-    return result;
   }
 
   // ---- rung 1: full MaxSMT ------------------------------------------------
@@ -248,12 +177,10 @@ SmtSession::Result SmtSession::check() {
   // engine, and as a last resort accept the plain solver's model (hard
   // constraints satisfied, soft constraints unoptimized).
   if (status == z3::unsat) {
-    // The persistent probe solver mirrors exactly the hard assertions (its
-    // indicator-guarded cost bounds are inert without assumptions), so the
-    // cross-check needs no rebuild.
-    applyBudget(probe_);
-    const z3::check_result crossCheck = probe_.check();
-    captureCheck(result.stats, probe_);
+    z3::solver plain = hardOnlySolver();
+    applyBudget(plain);
+    const z3::check_result crossCheck = plain.check();
+    captureCheck(result.stats, plain);
     if (crossCheck == z3::sat) {
       logWarn() << "optimize reported unsat but the hard constraints are "
                    "satisfiable; retrying with the wmax engine";
@@ -269,36 +196,18 @@ SmtSession::Result SmtSession::check() {
       }
       if (status != z3::sat) {
         logWarn() << "wmax retry failed too; using the unoptimized model";
-        model_ = probe_.get_model();
-        result.sat = true;
-        result.status = "sat";
-        result.degradation = Degradation::kHardOnly;
-        result.rung = SolveRung::kHardOnly;
-        result.rungReason =
-            "MaxSMT engine reported a bogus unsat (hard constraints are "
-            "satisfiable) and the wmax retry failed; kept the plain-SAT "
-            "model, soft objectives unoptimized";
-        reportObjectives(result);
+        acceptModel(result, plain.get_model(), SolveRung::kHardOnly,
+                    "MaxSMT engine reported a bogus unsat (hard constraints "
+                    "are satisfiable) and the wmax retry failed; kept the "
+                    "plain-SAT model, soft objectives unoptimized");
         return result;
       }
     }
   }
 
   if (status == z3::sat) {
-    result.sat = true;
-    result.status = "sat";
-    result.rung = SolveRung::kFull;
-    result.rungReason = "full MaxSMT optimum over user + minimality softs";
-    model_ = opt_.get_model();
-    // Remember the optimum for the next incremental re-check's warm start.
-    unsigned long long cost = 0;
-    for (std::size_t i = 0; i < softExprs_.size(); ++i) {
-      if (!model_->eval(softExprs_[i], true).is_true()) {
-        cost += softInfos_[i].weight;
-      }
-    }
-    lastOptimalCost_ = cost;
-    reportObjectives(result);
+    acceptModel(result, opt_.get_model(), SolveRung::kFull,
+                "full MaxSMT optimum over user + minimality softs");
     return result;
   }
   if (status == z3::unsat) {
@@ -306,7 +215,7 @@ SmtSession::Result SmtSession::check() {
     result.code = ErrorCode::kUnsat;
     result.rung = SolveRung::kUnsat;
     result.rungReason = "hard constraints unsatisfiable (cross-checked "
-                        "against the plain-SAT mirror)";
+                        "with a plain SAT solver)";
     return result;
   }
 
@@ -347,15 +256,9 @@ SmtSession::Result SmtSession::check() {
         const z3::check_result reducedStatus = reduced.check();
         captureCheck(result.stats, reduced);
         if (reducedStatus == z3::sat) {
-          result.sat = true;
-          result.status = "sat";
-          result.degradation = Degradation::kNoMinimality;
-          result.rung = SolveRung::kNoMinimality;
-          result.rungReason =
-              "full MaxSMT timed out/unknown; re-solved with minimality "
-              "softs dropped (user objectives kept)";
-          model_ = reduced.get_model();
-          reportObjectives(result);
+          acceptModel(result, reduced.get_model(), SolveRung::kNoMinimality,
+                      "full MaxSMT timed out/unknown; re-solved with "
+                      "minimality softs dropped (user objectives kept)");
           return result;
         }
       }
@@ -368,21 +271,15 @@ SmtSession::Result SmtSession::check() {
   if (!deadline_.expired()) {
     logWarn() << "falling back to hard-constraints-only SAT";
     try {
-      // The persistent probe solver already holds exactly the hard
-      // assertions, so this rung is an incremental query, not a rebuild.
-      if (applyBudget(probe_)) {
-        const z3::check_result plainStatus = probe_.check();
-        captureCheck(result.stats, probe_);
+      z3::solver plain = hardOnlySolver();
+      if (applyBudget(plain)) {
+        const z3::check_result plainStatus = plain.check();
+        captureCheck(result.stats, plain);
         if (plainStatus == z3::sat) {
-          result.sat = true;
-          result.status = "sat";
-          result.degradation = Degradation::kHardOnly;
-          result.rung = SolveRung::kHardOnly;
-          result.rungReason =
-              "both MaxSMT rungs timed out/unknown; plain SAT over the hard "
-              "constraints only (policy-compliant, nothing optimized)";
-          model_ = probe_.get_model();
-          reportObjectives(result);
+          acceptModel(result, plain.get_model(), SolveRung::kHardOnly,
+                      "both MaxSMT rungs timed out/unknown; plain SAT over "
+                      "the hard constraints only (policy-compliant, nothing "
+                      "optimized)");
           return result;
         }
         if (plainStatus == z3::unsat) {

@@ -10,24 +10,19 @@
 //
 // Sessions are incremental: constraints may be added and check() re-run any
 // number of times (the persistent SubproblemSolver keeps one session alive
-// across repair rounds and only pushes new blocked-delta clauses), and
-// push()/pop() scoping retracts tentative constraints.
-//
-// Incremental re-checks use a warm-start fast path: between checks the
-// caller only ever ADDS constraints, so the feasible set shrinks and the
-// optimal soft-violation cost cannot decrease. check() therefore first asks
-// a plain SAT query whether a model at the previous optimal cost still
-// exists (a pseudo-boolean bound over the soft constraints); if yes, that
-// model is provably optimal and the full MaxSMT engine is skipped entirely.
-// pop() and addSoft() invalidate the remembered optimum (they can lower it).
+// across repair rounds and only adds new blocked-delta clauses). Each check
+// re-runs the one z3::optimize instance, which keeps its learned state.
 //
 // Resilience: a session can be given a wall-clock Deadline (wired to Z3's
 // `timeout` parameter) and, in anytime mode, check() falls back through a
 // degradation ladder when the full MaxSMT query times out or goes unknown:
-//   1. full MaxSMT (user objectives + minimality softs)     → Degradation::kNone
-//   2. MaxSMT with the minimality softs dropped             → kNoMinimality
-//   3. plain SAT over the hard constraints only             → kHardOnly
+//   1. full MaxSMT (user objectives + minimality softs)  → SolveRung::kFull
+//   2. MaxSMT with the minimality softs dropped          → kNoMinimality
+//   3. plain SAT over the hard constraints only          → kHardOnly
 //   4. give up: timed out (deadline expired) or unknown
+// Rungs 2 and 3 (and the bogus-unsat cross-check) build a throwaway solver
+// from opt_.assertions() when they are reached; they are rare, so no second
+// solver is kept alive for them.
 // Every rung still satisfies the hard policy constraints, so a
 // policy-compliant (if less manageable) patch is returned whenever Z3 can
 // decide satisfiability at all within the budget.
@@ -48,7 +43,7 @@ namespace aed {
 
 class SmtSession {
  public:
-  SmtSession() : opt_(ctx_), probe_(ctx_) {}
+  SmtSession() : opt_(ctx_) {}
 
   SmtSession(const SmtSession&) = delete;
   SmtSession& operator=(const SmtSession&) = delete;
@@ -79,29 +74,10 @@ class SmtSession {
   // ---- constraints ----------------------------------------------------------
 
   /// Adds a hard constraint. Legal at any time, including between check()
-  /// calls: the persistent subproblem solver relies on this to push new
-  /// blocked-delta clauses into the live solver on every repair round
-  /// instead of re-encoding from scratch. The constraint is mirrored into
-  /// the persistent plain-SAT probe solver backing the warm-start fast
-  /// path, so warm re-checks are true incremental SAT calls (learned
-  /// lemmas survive across repair rounds).
-  void addHard(const z3::expr& constraint) {
-    opt_.add(constraint);
-    probe_.add(constraint);
-  }
-
-  // ---- scoping --------------------------------------------------------------
-
-  /// Pushes a backtracking scope: hard and soft constraints added after
-  /// push() are retracted by the matching pop(). Used by callers that probe
-  /// tentative constraints (e.g. "would this delta set still be sat?")
-  /// without poisoning the persistent solver state across repair rounds.
-  void push();
-  /// Pops the innermost scope; throws AedError if none is open. Invalidates
-  /// the last model (it may depend on retracted assertions).
-  void pop();
-  /// Number of open scopes.
-  std::size_t scopeDepth() const { return scopes_.size(); }
+  /// calls: the persistent subproblem solver relies on this to add new
+  /// blocked-delta clauses to the live solver on every repair round instead
+  /// of re-encoding from scratch.
+  void addHard(const z3::expr& constraint) { opt_.add(constraint); }
 
   /// Classification of a soft constraint for the degradation ladder: user
   /// objectives survive one rung longer than the internal per-delta
@@ -109,8 +85,7 @@ class SmtSession {
   enum class SoftKind { kUser, kMinimality };
 
   /// Adds a weighted soft constraint labeled with an objective name.
-  /// Returns the index of the registered soft constraint. Invalidates the
-  /// warm-start optimum (new softs change the cost function).
+  /// Returns the index of the registered soft constraint.
   std::size_t addSoft(const z3::expr& constraint, unsigned weight,
                       const std::string& label,
                       SoftKind kind = SoftKind::kUser);
@@ -147,13 +122,6 @@ class SmtSession {
 
   // ---- solving --------------------------------------------------------------
 
-  /// How far down the ladder check() had to fall to produce a model.
-  enum class Degradation {
-    kNone = 0,        // full MaxSMT optimum
-    kNoMinimality,    // minimality softs dropped, user objectives kept
-    kHardOnly,        // hard constraints only (plain SAT, nothing optimized)
-  };
-
   struct Result {
     bool sat = false;
     /// Raw solver verdict: "sat", "unsat", "unknown", or "timeout". A solver
@@ -162,20 +130,14 @@ class SmtSession {
     /// "timeout" means the wall-clock deadline expired before any rung of
     /// the ladder produced a verdict.
     std::string status = "unknown";
-    /// Ladder rung that produced the model (meaningful only when sat).
-    Degradation degradation = Degradation::kNone;
-    /// True when the model came from the incremental warm-start fast path:
-    /// a single SAT query at the previous optimal cost, no MaxSMT engine
-    /// run. The model is still a full MaxSMT optimum (see the header).
-    bool warmStart = false;
     /// Structured failure classification when !sat.
     ErrorCode code = ErrorCode::kNone;
     /// Labels of soft constraints satisfied / violated by the model.
     std::vector<std::string> satisfiedObjectives;
     std::vector<std::string> violatedObjectives;
-    /// Introspection (§12): which ladder rung produced this answer and why,
-    /// plus the Z3 effort counters summed across the rung attempts of this
-    /// check() call.
+    /// Which ladder rung produced this answer (kFull, kNoMinimality or
+    /// kHardOnly when sat) and why, plus the Z3 effort counters summed
+    /// across the rung attempts of this check() call (§12).
     SolveRung rung = SolveRung::kNone;
     std::string rungReason;
     SolverStats stats;
@@ -203,34 +165,19 @@ class SmtSession {
   bool applyBudget(Solver& solver);
   /// Fills satisfied/violated objective labels from the current model.
   void reportObjectives(Result& result) const;
-  /// Incremental fast path: one plain SAT query asking for a model whose
-  /// soft-violation cost is at most the last recorded optimum. Fills
-  /// `result` and returns true on success; false falls through to the full
-  /// MaxSMT rung (optimum grew, weights overflow, or the probe went
-  /// unknown).
-  bool tryWarmCheck(Result& result);
-
-  /// Soft-registry watermark captured by push(), restored by pop().
-  struct Scope {
-    std::size_t softCount = 0;
-  };
+  /// Records a sat answer: retains `model` and fills the verdict fields.
+  void acceptModel(Result& result, z3::model model, SolveRung rung,
+                   std::string reason);
+  /// A plain SAT solver over the hard assertions, built on demand by the
+  /// rare ladder paths that need one.
+  z3::solver hardOnlySolver();
 
   z3::context ctx_;
   z3::optimize opt_;
-  /// Plain-SAT mirror of the hard constraints (soft constraints are not
-  /// asserted here). Persistent so warm-start re-checks solve incrementally
-  /// instead of rebuilding; cost bounds are activated per check through
-  /// assumption indicators, never asserted permanently.
-  z3::solver probe_;
   std::map<std::string, z3::expr> vars_;
   std::vector<z3::expr> softExprs_;
   std::vector<SoftInfo> softInfos_;
-  std::vector<Scope> scopes_;
   std::optional<z3::model> model_;
-  /// Optimal soft-violation cost of the last non-degraded check. Still a
-  /// valid lower bound after further addHard() calls (the feasible set only
-  /// shrinks); cleared by pop() and addSoft(), which can lower the optimum.
-  std::optional<unsigned long long> lastOptimalCost_;
   Deadline deadline_;
   bool anytime_ = true;
   int injectUnknown_ = 0;

@@ -8,17 +8,17 @@
 // point).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 
 namespace aed {
 
 /// Which rung of the solve ladder produced the answer for a subproblem
-/// (DESIGN.md §5/§6): the warm-start plain-SAT probe, the full MaxSMT
-/// optimum, or one of the anytime degradation rungs.
+/// (DESIGN.md §5/§6): the full MaxSMT optimum or one of the anytime
+/// degradation rungs.
 enum class SolveRung {
   kNone,          // no check ran (e.g. nothing to solve)
-  kWarmStart,     // plain-SAT probe at the previous optimum's cost bound
   kFull,          // full MaxSMT over user + minimality objectives
   kNoMinimality,  // degraded: user objectives only
   kHardOnly,      // degraded: plain SAT over hard constraints
@@ -26,10 +26,13 @@ enum class SolveRung {
   kGaveUp,        // every rung timed out / returned unknown
 };
 
+/// Number of SolveRung values; kGaveUp must stay the last enumerator.
+inline constexpr std::size_t kSolveRungCount =
+    static_cast<std::size_t>(SolveRung::kGaveUp) + 1;
+
 inline const char* solveRungName(SolveRung rung) {
   switch (rung) {
     case SolveRung::kNone: return "none";
-    case SolveRung::kWarmStart: return "warm-start";
     case SolveRung::kFull: return "full";
     case SolveRung::kNoMinimality: return "no-minimality";
     case SolveRung::kHardOnly: return "hard-only";

@@ -167,7 +167,7 @@ TEST(CheckScenarioTest, UnsatFromStartIsNotAFailure) {
   EXPECT_NE(outcome.skipped, 0u);
 }
 
-// An unsat policy set must stay unsat under incremental-equiv's fresh
+// An unsat policy set must stay unsat under incremental-equiv's reference
 // re-solve (the divergence check itself is exercised here).
 TEST(CheckScenarioTest, UnsatAgreesWithFreshSolve) {
   Scenario scenario;

@@ -1,7 +1,7 @@
-// Incremental re-solve engine: equivalence with the fresh-per-round path on
-// repair-round fixtures, phase-stat accounting, the mergePatches positive
-// seq floor, malformed-attribute parsing, and runParallel exception
-// collection.
+// Incremental re-solve engine: repair-round convergence, equivalence of a
+// persistent SubproblemSolver re-solve with a fresh solver given the same
+// blocked list, phase-stat accounting, the mergePatches positive seq floor,
+// malformed-attribute parsing, and runParallel exception collection.
 #include <atomic>
 #include <chrono>
 #include <thread>
@@ -16,7 +16,6 @@
 #include "gen/policygen.hpp"
 #include "objectives/objective.hpp"
 #include "simulate/simulator.hpp"
-#include "smt/session.hpp"
 #include "util/thread_pool.hpp"
 
 namespace aed {
@@ -60,40 +59,31 @@ RepairFixture dcRepairFixture() {
 /// kRejectValidation deterministically fails the first two
 /// otherwise-passing validation verdicts, so the blocking + re-solve
 /// machinery runs for real, twice, before the run converges.
-AedOptions repairHeavyOptions(bool incremental) {
+AedOptions repairHeavyOptions() {
   AedOptions options;
-  options.incrementalResolve = incremental;
   options.maxRepairIterations = 5;
   options.faultInjection.kind = FaultInjection::Kind::kRejectValidation;
   options.faultInjection.rejectRounds = 2;
   return options;
 }
 
-// ---- incremental vs fresh-per-round equivalence ---------------------------
+// ---- repair rounds ----------------------------------------------------------
 
-TEST(Incremental, RepairRoundsProduceValidatedPatchInBothModes) {
+TEST(Incremental, RepairRoundsProduceValidatedPatch) {
   const RepairFixture fixture = dcRepairFixture();
-  const ConfigTree& tree = fixture.tree;
-  const PolicySet& policies = fixture.policies;
-
-  for (const bool incremental : {false, true}) {
-    const AedResult result =
-        synthesize(tree, policies, {}, repairHeavyOptions(incremental));
-    ASSERT_TRUE(result.success)
-        << "incremental=" << incremental << ": " << result.error;
-    EXPECT_GE(result.stats.repairRounds, 2u) << "incremental=" << incremental;
-    // The final patch must pass the same simulator validation in both
-    // modes: zero violated policies.
-    Simulator sim(result.updated);
-    EXPECT_TRUE(sim.violations(policies).empty())
-        << "incremental=" << incremental;
-  }
+  const AedResult result = synthesize(fixture.tree, fixture.policies, {},
+                                      repairHeavyOptions());
+  ASSERT_TRUE(result.success) << result.error;
+  EXPECT_GE(result.stats.repairRounds, 2u);
+  // The final patch must pass the serial oracle: zero violated policies.
+  Simulator sim(result.updated);
+  EXPECT_TRUE(sim.violations(fixture.policies).empty());
 }
 
 TEST(Incremental, SequentialModeAlsoConverges) {
   const ConfigTree tree = parseNetworkConfig(figure1ConfigText());
   const PolicySet policies = figure1Policies();
-  AedOptions options = repairHeavyOptions(true);
+  AedOptions options = repairHeavyOptions();
   options.perDestination = false;  // one monolithic persistent solver
   const AedResult result = synthesize(tree, policies, {}, options);
   ASSERT_TRUE(result.success) << result.error;
@@ -107,21 +97,15 @@ TEST(Incremental, RepairRoundsSkipSketchAndEncode) {
   const ConfigTree& tree = fixture.tree;
   const PolicySet& policies = fixture.policies;
 
-  const AedResult incremental =
-      synthesize(tree, policies, {}, repairHeavyOptions(true));
-  ASSERT_TRUE(incremental.success) << incremental.error;
-  EXPECT_GT(incremental.stats.firstRound.encodeSeconds, 0.0);
-  EXPECT_GT(incremental.stats.firstRound.solveSeconds, 0.0);
-  EXPECT_GT(incremental.stats.repair.solveSeconds, 0.0);
+  const AedResult result =
+      synthesize(tree, policies, {}, repairHeavyOptions());
+  ASSERT_TRUE(result.success) << result.error;
+  EXPECT_GT(result.stats.firstRound.encodeSeconds, 0.0);
+  EXPECT_GT(result.stats.firstRound.solveSeconds, 0.0);
+  EXPECT_GT(result.stats.repair.solveSeconds, 0.0);
   // The persistent solvers never rebuild the sketch or the encoding.
-  EXPECT_EQ(incremental.stats.repair.sketchSeconds, 0.0);
-  EXPECT_EQ(incremental.stats.repair.encodeSeconds, 0.0);
-
-  const AedResult fresh =
-      synthesize(tree, policies, {}, repairHeavyOptions(false));
-  ASSERT_TRUE(fresh.success) << fresh.error;
-  // The fresh-per-round baseline pays encoding again in every repair round.
-  EXPECT_GT(fresh.stats.repair.encodeSeconds, 0.0);
+  EXPECT_EQ(result.stats.repair.sketchSeconds, 0.0);
+  EXPECT_EQ(result.stats.repair.encodeSeconds, 0.0);
 }
 
 TEST(Incremental, SubproblemSolverReusesEncodingAcrossRounds) {
@@ -148,88 +132,46 @@ TEST(Incremental, SubproblemSolverReusesEncodingAcrossRounds) {
   EXPECT_EQ(solver.rounds(), 2);
 }
 
+// The from-scratch reference for the incremental re-solve: a persistent
+// solver that re-checks after adding a blocking clause must reach the same
+// optimum as a new solver built with that clause from the start. With only
+// the unit minimality softs, the optimal cost is the number of active
+// deltas, so equal optima mean equal activeDeltas sizes.
+TEST(Incremental, PersistentResolveMatchesFreshSolver) {
+  const RepairFixture fixture = dcRepairFixture();
+  const Topology topo = Topology::fromConfigs(fixture.tree);
+
+  SubproblemSolver persistent(fixture.tree, topo, fixture.policies, {},
+                              AedOptions{});
+  std::vector<std::vector<std::string>> blocked;
+  const SubResult first = persistent.solve(blocked, Deadline::unlimited());
+  ASSERT_EQ(first.outcome, SubOutcome::kOk) << first.detail;
+  ASSERT_FALSE(first.activeDeltas.empty());
+
+  blocked.push_back(first.activeDeltas);
+  const SubResult resolved = persistent.solve(blocked, Deadline::unlimited());
+  SubproblemSolver fresh(fixture.tree, topo, fixture.policies, {},
+                         AedOptions{});
+  const SubResult reference = fresh.solve(blocked, Deadline::unlimited());
+
+  ASSERT_TRUE(resolved.sat) << resolved.detail;
+  ASSERT_TRUE(reference.sat) << reference.detail;
+  EXPECT_EQ(resolved.activeDeltas.size(), reference.activeDeltas.size());
+  for (const SubResult* sub : {&resolved, &reference}) {
+    const ConfigTree updated = sub->patch.applied(fixture.tree);
+    Simulator sim(updated);
+    EXPECT_TRUE(sim.violations(fixture.policies).empty());
+  }
+}
+
 TEST(Incremental, FaultInjectionRejectCountsRepairRounds) {
   const RepairFixture fixture = dcRepairFixture();
-  AedOptions options = repairHeavyOptions(true);
+  AedOptions options = repairHeavyOptions();
   options.faultInjection.rejectRounds = 1;
   const AedResult result =
       synthesize(fixture.tree, fixture.policies, {}, options);
   ASSERT_TRUE(result.success) << result.error;
   EXPECT_GE(result.stats.repairRounds, 1u);
-}
-
-// ---- SMT-level warm start --------------------------------------------------
-
-TEST(Incremental, WarmStartReusesOptimumAfterAddHard) {
-  SmtSession session;
-  const z3::expr a = session.boolVar("a");
-  const z3::expr b = session.boolVar("b");
-  const z3::expr c = session.boolVar("c");
-  session.addHard(a || b || c);
-  session.addSoft(!a, 1, "not-a");
-  session.addSoft(!b, 1, "not-b");
-  session.addSoft(!c, 1, "not-c");
-
-  const SmtSession::Result first = session.check();
-  ASSERT_TRUE(first.sat);
-  EXPECT_FALSE(first.warmStart);  // no prior optimum to warm-start from
-  EXPECT_EQ(first.violatedObjectives.size(), 1u);
-
-  // Block the chosen variable. Another single-violation model exists, so the
-  // re-check must go through the warm-start fast path and stay optimal.
-  const z3::expr chosen =
-      session.evalBool(a) ? a : (session.evalBool(b) ? b : c);
-  session.addHard(!chosen);
-  const SmtSession::Result second = session.check();
-  ASSERT_TRUE(second.sat);
-  EXPECT_TRUE(second.warmStart);
-  EXPECT_EQ(second.violatedObjectives.size(), 1u);
-  EXPECT_FALSE(session.evalBool(chosen));
-}
-
-TEST(Incremental, WarmStartDeclinesWhenOptimumGrows) {
-  SmtSession session;
-  const z3::expr a = session.boolVar("a");
-  const z3::expr b = session.boolVar("b");
-  session.addHard(a || b);
-  session.addSoft(!a, 1, "not-a");
-  session.addSoft(!b, 1, "not-b");
-  const SmtSession::Result first = session.check();
-  ASSERT_TRUE(first.sat);
-  EXPECT_EQ(first.violatedObjectives.size(), 1u);
-
-  // Force both variables: the optimum grows from 1 to 2. The warm probe has
-  // to fail and the full MaxSMT engine must re-run and re-optimize.
-  session.addHard(a);
-  session.addHard(b);
-  const SmtSession::Result second = session.check();
-  ASSERT_TRUE(second.sat);
-  EXPECT_FALSE(second.warmStart);
-  EXPECT_EQ(second.violatedObjectives.size(), 2u);
-}
-
-TEST(Incremental, PopInvalidatesWarmStartOptimum) {
-  SmtSession session;
-  const z3::expr a = session.boolVar("a");
-  session.addSoft(!a, 1, "not-a");
-  const SmtSession::Result first = session.check();
-  ASSERT_TRUE(first.sat);
-  EXPECT_TRUE(first.violatedObjectives.empty());
-
-  session.push();
-  session.addHard(a);
-  const SmtSession::Result inner = session.check();
-  ASSERT_TRUE(inner.sat);
-  EXPECT_EQ(inner.violatedObjectives.size(), 1u);
-
-  // Retracting constraints can lower the optimum again, so the remembered
-  // cost must not survive the pop (a stale bound of 1 would let a
-  // cost-1 model pass as "optimal" when cost 0 is reachable).
-  session.pop();
-  const SmtSession::Result after = session.check();
-  ASSERT_TRUE(after.sat);
-  EXPECT_FALSE(after.warmStart);
-  EXPECT_TRUE(after.violatedObjectives.empty());
 }
 
 // ---- mergePatches: positive sequence-number floor --------------------------

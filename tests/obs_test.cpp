@@ -1010,8 +1010,8 @@ TEST_F(ObsTest, SnapshotContainsEveryKnownStatFamily) {
            "aed.runs", "aed.subproblems", "aed.total_seconds",
            "aed.repair_rounds",
            // degradation-ladder outcome counts (mirrored even at zero)
-           "smt.rung.warm_start", "smt.rung.full", "smt.rung.no_minimality",
-           "smt.rung.hard_only", "smt.rung.unsat", "smt.rung.gave_up",
+           "smt.rung.full", "smt.rung.no_minimality", "smt.rung.hard_only",
+           "smt.rung.unsat", "smt.rung.gave_up",
            // simulation cache accounting, incl. eviction/quarantine
            "sim.route_hits", "sim.route_misses", "sim.evictions",
            "sim.quarantined_tables",
