@@ -1,11 +1,11 @@
-// Incremental re-solve engine on a repair-heavy scenario.
+// Repair re-solve on a repair-heavy scenario.
 //
 // The repair loop is AED's counterexample-guided core: when a candidate
 // patch fails simulator validation, the offending delta combination is
-// blocked and the affected subproblems re-solved. The per-destination
-// solvers stay alive across rounds (sketch, Z3 session and encoding reused;
-// only the new blocking clauses added), so a repair round should be almost
-// pure solve time. This bench measures that split.
+// blocked and the affected subproblems re-solved. Each re-solve builds a
+// fresh sketch, encoding and Z3 context against the whole blocked list
+// (DESIGN.md §6). This bench reports the first-round vs repair-round phase
+// split.
 //
 // A repair-heavy scenario is forced deterministically: two rack subnets'
 // originations are withdrawn (each restorable several distinct ways, so
@@ -19,8 +19,8 @@
 //   firstRoundSeconds   — sketch+encode+solve+extract+simulate, round 0
 //   repairSeconds       — same, summed over all repair rounds
 //   repairSolveSeconds  — pure solver time within the repair rounds
-//   repairEncodeSeconds — encoding time within the repair rounds (0: the
-//                         persistent solvers never re-encode)
+//   repairEncodeSeconds — encoding time within the repair rounds (each
+//                         round re-encodes against the whole blocked list)
 //
 // Run: ./build/bench/bench_incremental
 //   (JSON for CI trend tracking: --benchmark_out=BENCH_incremental.json

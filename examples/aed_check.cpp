@@ -19,9 +19,9 @@
 //
 // Knobs:
 //   --budget-s          stop starting new seeds after this much wall clock
-//   --expensive-every   run the two second-solve invariants
-//                       (incremental-equiv, resynth-noop) on every Nth seed
-//                       only (default 4; 0 = never)
+//   --expensive-every   run the three second-solve invariants
+//                       (incremental-equiv, resynth-noop, workers-equiv) on
+//                       every Nth seed only (default 4; 0 = never)
 //   --inject            poison every scenario with a deterministic fault
 //                       (repro `fault` grammar, e.g. "stage-commit" or
 //                       "reject-validation rounds=2") — used to prove the

@@ -8,6 +8,7 @@
 
 #include "apply/deploy.hpp"
 #include "apply/plan.hpp"
+#include "conftree/diff.hpp"
 #include "conftree/journal.hpp"
 #include "conftree/printer.hpp"
 #include "simulate/engine.hpp"
@@ -33,12 +34,20 @@ constexpr InvariantInfo kInvariantTable[] = {
     {Invariant::kResynthNoOp, "resynth-noop"},
     {Invariant::kPolicyOrder, "policy-order"},
     {Invariant::kRouterOrder, "router-order"},
+    {Invariant::kWorkersEquiv, "workers-equiv"},
 };
 
 std::vector<std::string> policyStrings(const PolicySet& policies) {
   std::vector<std::string> out;
   out.reserve(policies.size());
   for (const Policy& policy : policies) out.push_back(policy.str());
+  return out;
+}
+
+std::vector<std::string> editStrings(const Patch& patch) {
+  std::vector<std::string> out;
+  out.reserve(patch.size());
+  for (const Edit& edit : patch.edits()) out.push_back(edit.describe());
   return out;
 }
 
@@ -224,7 +233,8 @@ class Checker {
     return want(Invariant::kSynthSound) || want(Invariant::kJournalRollback) ||
            want(Invariant::kStagedVsOneShot) ||
            want(Invariant::kIncrementalEquiv) ||
-           want(Invariant::kResynthNoOp) || want(Invariant::kSimDifferential);
+           want(Invariant::kResynthNoOp) || want(Invariant::kSimDifferential) ||
+           want(Invariant::kWorkersEquiv);
   }
 
   void obtainPatch() {
@@ -244,12 +254,13 @@ class Checker {
       return;
     }
 
-    AedOptions options = scenario_.options();
+    runOptions_ = scenario_.options();
     if (scenario_.fault.kind != FaultInjection::Kind::kNone &&
         !isDeployFault(scenario_.fault.kind)) {
-      options.faultInjection = scenario_.fault;
+      runOptions_.faultInjection = scenario_.fault;
     }
-    AedResult result = synthesize(scenario_.tree, scenario_.policies, {}, options);
+    AedResult result =
+        synthesize(scenario_.tree, scenario_.policies, {}, runOptions_);
     if (result.success && !result.degraded) {
       patch_ = std::move(result.patch);
       updated_ = std::move(result.updated);
@@ -278,6 +289,15 @@ class Checker {
   // ---- patch-dependent invariants ----
 
   void checkPatchInvariants() {
+    if (want(Invariant::kWorkersEquiv)) {
+      // Needs the run's own synthesis: a clean patch or an unsat verdict.
+      if (!scenario_.patch && (unsat_ || updated_.has_value())) {
+        guarded(Invariant::kWorkersEquiv, [&] { checkWorkersEquiv(); });
+      } else {
+        skip(Invariant::kWorkersEquiv);
+      }
+    }
+
     if (want(Invariant::kIncrementalEquiv) && unsat_ && !scenario_.patch) {
       // A re-solve without the injected fault must agree the policies
       // conflict.
@@ -398,6 +418,42 @@ class Checker {
     }
   }
 
+  /// Re-runs the scenario's synthesis with one worker: the verdict, the
+  /// patch, and what it changes must not depend on the thread pool.
+  void checkWorkersEquiv() {
+    AedOptions options = runOptions_;
+    options.workers = 1;
+    const AedResult serial =
+        synthesize(scenario_.tree, scenario_.policies, {}, options);
+    const bool agrees = unsat_ ? serial.errorCode == ErrorCode::kUnsat
+                               : serial.success && !serial.degraded;
+    if (!agrees) {
+      fail(Invariant::kWorkersEquiv, "outcome",
+           std::string("the run ") + (unsat_ ? "was unsat" : "succeeded") +
+               " but the 1-worker run returned [" +
+               errorCodeName(serial.errorCode) + "] " + serial.error);
+      return;
+    }
+    if (unsat_) return;
+    const std::vector<std::string> parallelEdits = editStrings(*patch_);
+    const std::vector<std::string> serialEdits = editStrings(serial.patch);
+    if (parallelEdits != serialEdits) {
+      fail(Invariant::kWorkersEquiv, "patch",
+           "patches differ " + firstDifference(parallelEdits, serialEdits));
+      return;
+    }
+    const DiffStats parallel = diffNetworks(scenario_.tree, *updated_);
+    const DiffStats single = diffNetworks(scenario_.tree, serial.updated);
+    if (parallel.devicesChanged != single.devicesChanged ||
+        parallel.linesChanged() != single.linesChanged()) {
+      fail(Invariant::kWorkersEquiv, "diff",
+           "devices/lines changed " + std::to_string(parallel.devicesChanged) +
+               "/" + std::to_string(parallel.linesChanged()) + " vs " +
+               std::to_string(single.devicesChanged) + "/" +
+               std::to_string(single.linesChanged()) + " with 1 worker");
+    }
+  }
+
   void checkJournalRollback(const Patch& patch) {
     const std::string preText = printNetworkConfig(scenario_.tree);
 
@@ -495,6 +551,7 @@ class Checker {
   CheckOutcome out_;
   std::optional<Patch> patch_;
   std::optional<ConfigTree> updated_;
+  AedOptions runOptions_;  // options of the run that produced patch_
   bool unsat_ = false;
 };
 

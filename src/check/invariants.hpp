@@ -24,6 +24,10 @@
 //                    of the same scenario without its injected fault (e.g.
 //                    forced validation rejections): both succeed with a
 //                    patch the serial oracle accepts, or both report unsat
+//   workers-equiv    re-running the scenario with one worker prints the
+//                    same patch, with the same devices/lines changed, as
+//                    the run's two workers (or is unsat too): scheduling
+//                    on the thread pool never changes the answer
 //
 // Metamorphic invariants (input transformations that must not change
 // verdicts):
@@ -56,6 +60,7 @@ enum class Invariant : unsigned {
   kResynthNoOp = 1u << 5,
   kPolicyOrder = 1u << 6,
   kRouterOrder = 1u << 7,
+  kWorkersEquiv = 1u << 8,
 };
 
 using InvariantMask = unsigned;
@@ -69,14 +74,17 @@ constexpr InvariantMask kAllInvariants =
     mask(Invariant::kSynthSound) | mask(Invariant::kSimDifferential) |
     mask(Invariant::kJournalRollback) | mask(Invariant::kStagedVsOneShot) |
     mask(Invariant::kIncrementalEquiv) | mask(Invariant::kResynthNoOp) |
-    mask(Invariant::kPolicyOrder) | mask(Invariant::kRouterOrder);
+    mask(Invariant::kPolicyOrder) | mask(Invariant::kRouterOrder) |
+    mask(Invariant::kWorkersEquiv);
 
-/// Invariants costing at most one synthesis run. kIncrementalEquiv and
-/// kResynthNoOp each pay a second full solve; the fuzz driver runs them on
-/// a deterministic subset of seeds so smoke sweeps stay fast.
+/// Invariants costing at most one synthesis run. kIncrementalEquiv,
+/// kResynthNoOp and kWorkersEquiv each pay a second full solve; the fuzz
+/// driver runs them on a deterministic subset of seeds so smoke sweeps stay
+/// fast.
 constexpr InvariantMask kCheapInvariants =
     kAllInvariants &
-    ~(mask(Invariant::kIncrementalEquiv) | mask(Invariant::kResynthNoOp));
+    ~(mask(Invariant::kIncrementalEquiv) | mask(Invariant::kResynthNoOp) |
+      mask(Invariant::kWorkersEquiv));
 
 /// Stable kebab-case identifier, e.g. "journal-rollback".
 const char* invariantName(Invariant inv);

@@ -300,15 +300,6 @@ AedResult synthesize(const ConfigTree& tree, const PolicySet& policies,
   // coordinating thread (subResults only keeps the last round's solve).
   std::vector<SolverStats> solverTotals(groups.size());
 
-  // One persistent solver per destination group, alive across repair rounds
-  // (the incremental re-solve engine): a repair round adds only the new
-  // blocked-delta clauses to the existing z3::optimize instance instead of
-  // re-encoding from scratch. Each solver owns its own z3::context, so the
-  // parallel engine can drive distinct solvers from distinct workers; a
-  // worker only ever touches its own group's solver. A solver is rebuilt
-  // only after it threw (see solveOne).
-  std::vector<std::unique_ptr<SubproblemSolver>> solvers(groups.size());
-
   // Fills the outcome report and aggregate stats from subResults, then
   // mirrors them into the unified metrics registry; called exactly once on
   // every exit path (success, fail(), and — via the unwind guard below —
@@ -478,8 +469,10 @@ AedResult synthesize(const ConfigTree& tree, const PolicySet& policies,
       // Runs on a pool worker in parallel mode: the worker installed the
       // submitting thread's span context, so this span parents under the
       // round span regardless of which thread executes it.
+      //
+      // solveSubproblem builds, solves and frees its own Z3 context here, so
+      // the span and SubResult::seconds cover the context's release too.
       Span span("aed.subproblem");
-      if (span.active()) span.setDetail("dst=" + destinations[i]);
       try {
         const FaultInjection& fault = options.faultInjection;
         const bool injected =
@@ -508,17 +501,10 @@ AedResult synthesize(const ConfigTree& tree, const PolicySet& policies,
         if (options.subproblemTimeoutMs != 0) {
           deadline = Deadline::after(options.subproblemTimeoutMs).min(deadline);
         }
-        if (solvers[i] == nullptr) {
-          solvers[i] = std::make_unique<SubproblemSolver>(
-              tree, topo, groups[i], objectives, effective);
-        }
-        subResults[i] = solvers[i]->solve(
-            blocked, deadline,
+        subResults[i] = solveSubproblem(
+            tree, topo, groups[i], objectives, effective, blocked, deadline,
             injected && fault.kind == FaultInjection::Kind::kUnknown);
       } catch (const AedError& e) {
-        // A throwing solver may hold a poisoned Z3 state; rebuild it before
-        // any future re-solve of this group.
-        solvers[i].reset();
         if (!isolatable(e.code())) throw;  // deterministic: fail the run
         const SubOutcome outcome = e.code() == ErrorCode::kTimeout
                                        ? SubOutcome::kTimedOut
@@ -528,9 +514,18 @@ AedResult synthesize(const ConfigTree& tree, const PolicySet& policies,
         subResults[i] = failedSubResult(outcome, e.code(), e.what());
       } catch (const std::exception& e) {
         // Covers z3::exception: solver infrastructure trouble, isolated.
-        solvers[i].reset();
         subResults[i] = failedSubResult(
             SubOutcome::kError, ErrorCode::kSubproblemFailed, e.what());
+      }
+      if (span.active()) {
+        const SubResult& sub = subResults[i];
+        span.setDetail("dst=" + destinations[i] +
+                       " vars=" + std::to_string(sub.solverStats.vars) +
+                       " assertions=" +
+                       std::to_string(sub.solverStats.assertions) +
+                       " conflicts=" +
+                       std::to_string(sub.solverStats.conflicts) +
+                       " rung=" + solveRungName(sub.rung));
       }
       Progress::incrDone();
     };
@@ -576,11 +571,10 @@ AedResult synthesize(const ConfigTree& tree, const PolicySet& policies,
     }
     for (std::size_t i : pending) needsSolve[i] = false;
 
-    // Per-phase timing, split by round kind: round 0 is where every
-    // subproblem pays sketch + encode; the repair bucket's sketch/encode stay
-    // 0 because the persistent solvers reuse their encodings. Merged before
-    // the fatal rethrow below so the work the siblings completed this round
-    // stays attributable even when the run unwinds (the guard above
+    // Per-phase timing, split by round kind (round 0 or repair); every
+    // solve, repair rounds included, pays its own sketch + encode. Merged
+    // before the fatal rethrow below so the work the siblings completed this
+    // round stays attributable even when the run unwinds (the guard above
     // publishes it).
     PhaseBreakdown& phaseBucket =
         round == 0 ? result.stats.firstRound : result.stats.repair;
@@ -694,8 +688,7 @@ AedResult synthesize(const ConfigTree& tree, const PolicySet& policies,
     phaseBucket.simulateSeconds += secondsSince(simulateStart);
     // Deterministic fault injection for repair-heavy scenarios: treat the
     // first rejectRounds passing verdicts as failures, so the blocking +
-    // incremental re-solve machinery runs for real (tests and
-    // bench_incremental).
+    // re-solve machinery runs for real (tests and bench_incremental).
     if (violated.empty() &&
         options.faultInjection.kind ==
             FaultInjection::Kind::kRejectValidation &&
@@ -744,8 +737,8 @@ AedResult synthesize(const ConfigTree& tree, const PolicySet& policies,
     logWarn() << "patch failed simulation for " << violated.size()
               << " policies; blocking and re-solving";
     // A group's active delta set is pushed at most once per round, even when
-    // it owns several violated policies: duplicate blocking clauses would
-    // bloat every solver (incremental ones keep them forever).
+    // it owns several violated policies: every later solve asserts the whole
+    // list, so a duplicate blocking clause would bloat each of them.
     std::set<std::size_t> blamedGroups;
     const auto blame = [&](std::size_t i) {
       needsSolve[i] = true;

@@ -203,10 +203,9 @@ struct AedStats {
   std::size_t deltaCount = 0;
   std::size_t repairRounds = 0;
 
-  /// Phase timing, split by round kind: round 0 pays the full
-  /// sketch+encode+solve cost for every subproblem; repair rounds are nearly
-  /// pure solve time (sketch/encode stay at 0 because the persistent
-  /// solvers are reused).
+  /// Phase timing, split by round kind: round 0 covers every subproblem's
+  /// first solve; `repair` covers the re-solves, each of which pays its own
+  /// sketch+encode+solve (see core/subsolver.hpp).
   PhaseBreakdown firstRound;
   PhaseBreakdown repair;
 

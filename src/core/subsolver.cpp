@@ -1,6 +1,7 @@
 #include "core/subsolver.hpp"
 
 #include <chrono>
+#include <optional>
 #include <utility>
 
 #include "obs/trace.hpp"
@@ -25,99 +26,75 @@ double secondsSince(Clock::time_point start) {
   return std::chrono::duration<double>(Clock::now() - start).count();
 }
 
-}  // namespace
-
-SubproblemSolver::SubproblemSolver(const ConfigTree& tree,
-                                   const Topology& topo, PolicySet policies,
-                                   std::vector<Objective> objectives,
-                                   const AedOptions& options)
-    : tree_(tree),
-      topo_(topo),
-      policies_(std::move(policies)),
-      objectives_(std::move(objectives)),
-      options_(options) {}
-
-SubproblemSolver::~SubproblemSolver() = default;
-
-void SubproblemSolver::ensureEncoded(SubResult& result) {
-  if (encoder_ != nullptr) return;
-
+/// Everything but the final timing: the sketch, session and encoder are
+/// locals, so the Z3 context is freed when this returns.
+void solveInto(SubResult& result, const ConfigTree& tree, const Topology& topo,
+               const PolicySet& policies,
+               const std::vector<Objective>& objectives,
+               const AedOptions& options,
+               const std::vector<std::vector<std::string>>& blockedDeltaSets,
+               const Deadline& deadline, bool injectUnknown) {
   auto phaseStart = Clock::now();
-  {
+  const Sketch sketch = [&] {
     AED_SPAN("subsolver.sketch");
-    sketch_.emplace(buildSketch(tree_, topo_, policies_, options_.sketch));
-  }
+    return buildSketch(tree, topo, policies, options.sketch);
+  }();
   result.phases.sketchSeconds = secondsSince(phaseStart);
+  result.deltaCount = sketch.deltas().size();
 
-  session_ = std::make_unique<SmtSession>();
-  session_->setAnytime(options_.anytime);
-  if (options_.randomPhaseSeed != 0) {
-    session_->randomizePhase(options_.randomPhaseSeed);
+  // Declared after the sketch and before the encoder, which references
+  // both: the encoder is destroyed first.
+  SmtSession session;
+  session.setAnytime(options.anytime);
+  if (options.randomPhaseSeed != 0) {
+    session.randomizePhase(options.randomPhaseSeed);
   }
+  session.setDeadline(deadline);
+  if (injectUnknown) session.injectUnknown(1);
 
   phaseStart = Clock::now();
-  AED_SPAN("subsolver.encode");
-  encoder_ = std::make_unique<Encoder>(*session_, tree_, topo_, *sketch_,
-                                       options_.encoder);
-  encoder_->encode(policies_);
-
-  // User objectives (scaled), then the default minimality pressure. Softs
-  // are added once; repair rounds re-optimize the same objective system.
-  std::vector<Objective> scaled = objectives_;
-  for (Objective& objective : scaled) {
-    objective.weight *= kObjectiveWeightScale;
-  }
-  addObjectives(*encoder_, scaled);
-  if (options_.defaultMinimality) {
-    addPerDeltaMinimality(*encoder_, kMinimalityWeight);
+  std::optional<Encoder> encoder;
+  {
+    AED_SPAN("subsolver.encode");
+    encoder.emplace(session, tree, topo, sketch, options.encoder);
+    encoder->encode(policies);
+    // User objectives (scaled), then the default minimality pressure.
+    std::vector<Objective> scaled = objectives;
+    for (Objective& objective : scaled) {
+      objective.weight *= kObjectiveWeightScale;
+    }
+    addObjectives(*encoder, scaled);
+    if (options.defaultMinimality) {
+      addPerDeltaMinimality(*encoder, kMinimalityWeight);
+    }
   }
   result.phases.encodeSeconds = secondsSince(phaseStart);
 
-  blockedApplied_ = 0;
-}
-
-SubResult SubproblemSolver::solve(
-    const std::vector<std::vector<std::string>>& blockedDeltaSets,
-    const Deadline& deadline, bool injectUnknown) {
-  const auto start = Clock::now();
-  SubResult result;
-
-  ensureEncoded(result);
-  result.deltaCount = sketch_->deltas().size();
-
-  session_->setDeadline(deadline);
-  if (injectUnknown) session_->injectUnknown(1);
-
-  // Add only the blocked-delta clauses the live solver has not seen yet.
-  // The shared list grows monotonically across repair rounds, so earlier
-  // clauses are already asserted (and permanent — see the header).
-  for (; blockedApplied_ < blockedDeltaSets.size(); ++blockedApplied_) {
-    const std::vector<std::string>& blockedSet =
-        blockedDeltaSets[blockedApplied_];
-    z3::expr all = session_->boolVal(true);
+  // Every delta combination that failed validation in an earlier round is
+  // a permanent hard constraint (see the header).
+  for (const std::vector<std::string>& blockedSet : blockedDeltaSets) {
+    z3::expr all = session.boolVal(true);
     bool any = false;
     for (const std::string& name : blockedSet) {
-      const DeltaVar* delta = sketch_->findByName(name);
+      const DeltaVar* delta = sketch.findByName(name);
       if (delta == nullptr) continue;  // another subproblem's delta
-      all = all && encoder_->deltaActive(*delta);
+      all = all && encoder->deltaActive(*delta);
       any = true;
     }
-    if (any) session_->addHard(!all);
+    if (any) session.addHard(!all);
   }
 
-  auto phaseStart = Clock::now();
+  phaseStart = Clock::now();
   SmtSession::Result check;
   {
     Span span("subsolver.solve");
-    check = session_->check();
+    check = session.check();
     if (span.active()) span.setDetail("status=" + check.status);
   }
   result.phases.solveSeconds = secondsSince(phaseStart);
-  result.sat = check.sat;
   result.rung = check.rung;
   result.rungReason = std::move(check.rungReason);
   result.solverStats = check.stats;
-  ++rounds_;
 
   if (!check.sat) {
     if (check.code == ErrorCode::kUnsat) {
@@ -134,8 +111,7 @@ SubResult SubproblemSolver::solve(
       result.code = ErrorCode::kSolverUnknown;
       result.detail = "solver answered " + check.status;
     }
-    result.seconds = secondsSince(start);
-    return result;
+    return;
   }
 
   switch (check.rung) {
@@ -154,9 +130,9 @@ SubResult SubproblemSolver::solve(
 
   phaseStart = Clock::now();
   AED_SPAN("subsolver.extract");
-  result.patch = encoder_->extractPatch();
-  for (const DeltaVar& delta : sketch_->deltas()) {
-    if (session_->evalBool(encoder_->deltaActive(delta))) {
+  result.patch = encoder->extractPatch();
+  for (const DeltaVar& delta : sketch.deltas()) {
+    if (session.evalBool(encoder->deltaActive(delta))) {
       result.activeDeltas.push_back(delta.name);
     }
   }
@@ -170,7 +146,20 @@ SubResult SubproblemSolver::solve(
   for (const std::string& label : check.violatedObjectives) {
     if (label.rfind("min-change:", 0) != 0) result.violated.push_back(label);
   }
-  result.seconds = secondsSince(start);
+}
+
+}  // namespace
+
+SubResult solveSubproblem(
+    const ConfigTree& tree, const Topology& topo, const PolicySet& policies,
+    const std::vector<Objective>& objectives, const AedOptions& options,
+    const std::vector<std::vector<std::string>>& blockedDeltaSets,
+    const Deadline& deadline, bool injectUnknown) {
+  const auto start = Clock::now();
+  SubResult result;
+  solveInto(result, tree, topo, policies, objectives, options,
+            blockedDeltaSets, deadline, injectUnknown);
+  result.seconds = secondsSince(start);  // includes the context release
   return result;
 }
 

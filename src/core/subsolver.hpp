@@ -1,31 +1,26 @@
-// Persistent per-subproblem MaxSMT solver (the incremental re-solve engine).
+// One MaxSMT solve of one subproblem (the whole problem, or one destination
+// group), from sketch to extracted patch, in a Z3 context of its own.
 //
-// One SubproblemSolver owns the Sketch, SmtSession (and therefore the
-// z3::context + z3::optimize instance), and Encoder for one subproblem (the
-// whole problem, or one destination group) for the lifetime of a synthesis
-// run. The first solve() pays the full sketch + encode cost; every repair
-// round after that only adds the *new* blocked-delta hard clauses to the
-// live solver and re-checks, instead of rebuilding everything from scratch.
-// This is synthesize()'s only solve path; a fresh SubproblemSolver given the
-// same blocked list is the from-scratch reference (tests/incremental_test).
+// solveSubproblem() builds the Sketch, an SmtSession (and therefore the
+// z3::context + z3::optimize instance) and the Encoder, asserts every
+// blocked delta set, checks, extracts the patch, and frees all of it before
+// returning. The parallel per-destination engine runs it on a pool worker,
+// so each context is also torn down on the worker that solved it, in
+// parallel with its siblings' solves: at most `workers` contexts are alive
+// at once, and the teardown counts in SubResult::seconds.
 //
-// Why incremental blocking is sound: the blocked-delta list shared across
-// repair rounds grows monotonically — a delta combination that failed
+// Repair rounds call it again with the full blocked-delta list. That list
+// grows monotonically across rounds — a delta combination that failed
 // simulator validation once is invalid forever (the simulator is
-// deterministic over a fixed tree+policy set), so its blocking clause is a
-// permanent hard constraint, never retracted. Adding hard clauses to a live
-// z3::optimize and re-running check() is exactly Z3's incremental mode; the
-// solver keeps its learned clauses and the unchanged encoding across rounds.
+// deterministic over a fixed tree+policy set) — so every blocking clause is
+// a permanent hard constraint and a fresh solve given the whole list is
+// exactly the repair round's problem. Each round pays a new sketch and
+// encode; repair rounds are rare (DESIGN.md §6).
 //
-// Thread-safety: a SubproblemSolver owns its own z3::context, so distinct
-// solvers are safe to drive from distinct threads concurrently (the parallel
-// per-destination engine keeps one solver per destination group and each
-// worker touches only its own). A single solver must not be shared across
-// threads without external ordering.
+// Thread-safety: each call owns its own z3::context, so concurrent calls on
+// distinct threads are safe. `tree` and `topo` are only read.
 #pragma once
 
-#include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -33,32 +28,20 @@
 
 namespace aed {
 
-/// Wall-clock seconds of one solve() call, by phase. sketch/encode are zero
-/// on incremental re-solves (nothing is rebuilt).
-struct SubproblemPhases {
-  double sketchSeconds = 0.0;
-  double encodeSeconds = 0.0;
-  double solveSeconds = 0.0;
-  double extractSeconds = 0.0;
-  double total() const {
-    return sketchSeconds + encodeSeconds + solveSeconds + extractSeconds;
-  }
-};
-
-/// Outcome of one solve() call on one subproblem.
+/// Outcome of one solveSubproblem() call.
 struct SubResult {
   SubOutcome outcome = SubOutcome::kError;
   ErrorCode code = ErrorCode::kNone;
   std::string detail;
 
-  bool sat = false;
   Patch patch;
   std::vector<std::string> satisfied;
   std::vector<std::string> violated;
   std::vector<std::string> activeDeltas;  // for blocking on repair
+  /// Whole call: context construction through context release.
   double seconds = 0.0;
   std::size_t deltaCount = 0;
-  SubproblemPhases phases;
+  PhaseBreakdown phases;  // simulateSeconds stays 0: validation is per round
   /// Introspection (§12): which ladder rung answered this solve and why,
   /// plus Z3 effort counters and encoding sizes for the call. Totals across
   /// the rounds of one subproblem accumulate in SubproblemReport.
@@ -67,53 +50,16 @@ struct SubResult {
   SolverStats solverStats;
 };
 
-class SubproblemSolver {
- public:
-  /// `tree` and `topo` must outlive the solver; policies/objectives/options
-  /// are copied (options.defaultMinimality, anytime, randomPhaseSeed, sketch
-  /// and encoder options are honored).
-  SubproblemSolver(const ConfigTree& tree, const Topology& topo,
-                   PolicySet policies, std::vector<Objective> objectives,
-                   const AedOptions& options);
-  ~SubproblemSolver();
-
-  SubproblemSolver(const SubproblemSolver&) = delete;
-  SubproblemSolver& operator=(const SubproblemSolver&) = delete;
-
-  /// Solves (round 0) or incrementally re-solves (repair rounds) the
-  /// subproblem. `blockedDeltaSets` is the monotonically growing list of
-  /// delta combinations that failed simulator validation, shared across
-  /// rounds; only the suffix not yet asserted is pushed into the solver.
-  /// The deadline is re-applied on every call, so each round gets its own
-  /// budget share. `injectUnknown` forces the next full MaxSMT verdict to
-  /// "unknown" (deterministic fault injection).
-  SubResult solve(
-      const std::vector<std::vector<std::string>>& blockedDeltaSets,
-      const Deadline& deadline, bool injectUnknown = false);
-
-  /// Completed solve() calls; 0 means the next call pays sketch + encode.
-  int rounds() const { return rounds_; }
-
- private:
-  /// Builds the sketch, session, encoding, and objective softs (first call).
-  void ensureEncoded(SubResult& result);
-
-  const ConfigTree& tree_;
-  const Topology& topo_;
-  PolicySet policies_;
-  std::vector<Objective> objectives_;
-  AedOptions options_;
-
-  // Construction order matters for destruction: the encoder references the
-  // session and the sketch, so it is declared last (destroyed first).
-  std::unique_ptr<SmtSession> session_;
-  std::optional<Sketch> sketch_;
-  std::unique_ptr<Encoder> encoder_;
-
-  /// Prefix of the shared blocked-delta list already asserted as hard
-  /// clauses in the live solver.
-  std::size_t blockedApplied_ = 0;
-  int rounds_ = 0;
-};
+/// Solves the subproblem `policies` over `tree`/`topo` under every delta
+/// combination in `blockedDeltaSets` (names of other subproblems' deltas are
+/// ignored). `options` supplies defaultMinimality, anytime, randomPhaseSeed
+/// and the sketch and encoder options. `injectUnknown` forces the full
+/// MaxSMT verdict to "unknown" (deterministic fault injection). The Z3
+/// context is released before the call returns, on the calling thread.
+SubResult solveSubproblem(
+    const ConfigTree& tree, const Topology& topo, const PolicySet& policies,
+    const std::vector<Objective>& objectives, const AedOptions& options,
+    const std::vector<std::vector<std::string>>& blockedDeltaSets,
+    const Deadline& deadline, bool injectUnknown = false);
 
 }  // namespace aed

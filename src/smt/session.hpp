@@ -8,10 +8,11 @@
 // constraints so callers can report which management objectives were
 // satisfied by the chosen model.
 //
-// Sessions are incremental: constraints may be added and check() re-run any
-// number of times (the persistent SubproblemSolver keeps one session alive
-// across repair rounds and only adds new blocked-delta clauses). Each check
-// re-runs the one z3::optimize instance, which keeps its learned state.
+// Constraints may be added and check() re-run any number of times; each
+// check re-runs the one z3::optimize instance. synthesize() builds one
+// session per solve (core/subsolver.hpp): a repair round re-encodes into a
+// new session with the whole blocked-delta list rather than extending a
+// live one, so the session is freed on the worker that solved it.
 //
 // Resilience: a session can be given a wall-clock Deadline (wired to Z3's
 // `timeout` parameter) and, in anytime mode, check() falls back through a
@@ -74,9 +75,7 @@ class SmtSession {
   // ---- constraints ----------------------------------------------------------
 
   /// Adds a hard constraint. Legal at any time, including between check()
-  /// calls: the persistent subproblem solver relies on this to add new
-  /// blocked-delta clauses to the live solver on every repair round instead
-  /// of re-encoding from scratch.
+  /// calls.
   void addHard(const z3::expr& constraint) { opt_.add(constraint); }
 
   /// Classification of a soft constraint for the degradation ladder: user
@@ -145,10 +144,8 @@ class SmtSession {
 
   /// Runs the MaxSMT query (with the degradation ladder in anytime mode).
   /// On sat, the model is retained for eval calls. Re-entrant: check() may
-  /// be called again after adding further constraints (incremental
-  /// re-solve); each call replaces the retained model and re-reads the
-  /// deadline, so a persistent session can be re-checked once per repair
-  /// round under a fresh budget.
+  /// be called again after adding further constraints; each call replaces
+  /// the retained model and re-reads the deadline.
   Result check();
 
   /// Evaluates a boolean expression in the last model (model completion on).

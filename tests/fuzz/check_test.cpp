@@ -182,6 +182,25 @@ TEST(CheckScenarioTest, UnsatAgreesWithFreshSolve) {
       << (outcome.failures.empty() ? "" : outcome.failures[0].detail);
 }
 
+// Worker-count determinism: one datacenter and one zoo scenario, each with
+// more than one destination group so the two-worker run really solves on
+// the pool, print the same patch with one worker.
+TEST(CheckScenarioTest, WorkersEquivHoldsOnDcAndZooSeeds) {
+  for (const auto& [seed, kind] :
+       {std::pair<std::uint64_t, std::string>{3, "dc "}, {2, "zoo "}}) {
+    const Scenario scenario = makeScenario(seed);
+    ASSERT_EQ(scenario.label.rfind(kind, 0), 0u) << scenario.label;
+    const CheckOutcome outcome =
+        checkScenario(scenario, mask(Invariant::kWorkersEquiv));
+    EXPECT_TRUE(outcome.passed())
+        << scenario.label << ": "
+        << (outcome.failures.empty() ? "" : outcome.failures[0].detail);
+    EXPECT_EQ(outcome.checked, mask(Invariant::kWorkersEquiv))
+        << scenario.label << ": " << outcome.note;
+    EXPECT_GT(outcome.patchEdits, 0u) << scenario.label;
+  }
+}
+
 // Edge case: journal rollback restores the bit-identical tree when the
 // apply aborts at *every* edit index of a real synthesized patch.
 TEST(JournalEdgeCaseTest, RollbackAtEveryEditIndex) {
