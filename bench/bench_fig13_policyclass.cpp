@@ -80,8 +80,5 @@ void registerCases() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  registerCases();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  return 0;
+  return aedbench::runMain(argc, argv, registerCases);
 }

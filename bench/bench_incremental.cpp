@@ -100,9 +100,5 @@ void registerCases() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const aedbench::TraceArtifact trace;  // AED_TRACE_OUT=<file> to record
-  registerCases();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  return 0;
+  return aedbench::runMain(argc, argv, registerCases);
 }

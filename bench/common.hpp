@@ -28,46 +28,43 @@ inline bool fullScale() {
   return env != nullptr && std::string(env) == "1";
 }
 
-/// Span-trace artifact hook for bench binaries: declare one at the top of
-/// main(). When AED_TRACE_OUT names a file, tracing is enabled for the whole
-/// bench run and the Chrome trace-event JSON is written there on exit (CI
-/// uploads these next to the BENCH_*.json result files). Without the env
-/// var, tracing stays disabled and the benches measure the zero-cost path.
-/// AED_METRICS_OUT names a second artifact: the registry snapshot, exported
-/// on exit as JSON (path ends in ".json") or Prometheus text.
-struct TraceArtifact {
-  std::string path;
-  std::string metricsPath;
-  TraceArtifact() {
-    if (const char* env = std::getenv("AED_TRACE_OUT");
-        env != nullptr && env[0] != '\0') {
-      path = env;
-      aed::Tracer::enable();
-    }
-    if (const char* env = std::getenv("AED_METRICS_OUT");
-        env != nullptr && env[0] != '\0') {
-      metricsPath = env;
-    }
-  }
-  ~TraceArtifact() {
-    if (!path.empty()) {
-      if (aed::Tracer::writeChromeTrace(path)) {
-        std::fprintf(stderr, "trace written to %s\n", path.c_str());
-      } else {
-        std::fprintf(stderr, "cannot write trace file: %s\n", path.c_str());
-      }
-    }
-    if (!metricsPath.empty()) {
-      if (aed::exportMetricsFile(metricsPath)) {
-        std::fprintf(stderr, "metrics snapshot written to %s\n",
-                     metricsPath.c_str());
-      } else {
-        std::fprintf(stderr, "cannot write metrics file: %s\n",
-                     metricsPath.c_str());
-      }
+/// The main() of every bench binary: registers the cases and runs them.
+/// When AED_TRACE_OUT names a file, tracing is enabled for the whole run and
+/// the Chrome trace-event JSON is written there on exit (CI uploads these
+/// next to the BENCH_*.json result files); without it tracing stays disabled
+/// and the benches measure the zero-cost path. AED_METRICS_OUT names a
+/// second artifact: the registry snapshot, exported on exit as JSON (path
+/// ends in ".json") or Prometheus text.
+inline int runMain(int argc, char** argv, void (*registerCases)()) {
+  const auto envPath = [](const char* name) {
+    const char* env = std::getenv(name);
+    return std::string(env != nullptr ? env : "");
+  };
+  const std::string tracePath = envPath("AED_TRACE_OUT");
+  const std::string metricsPath = envPath("AED_METRICS_OUT");
+  if (!tracePath.empty()) aed::Tracer::enable();
+  registerCases();
+  benchmark::Initialize(&argc, argv);
+  benchmark::RunSpecifiedBenchmarks();
+  if (!tracePath.empty()) {
+    if (aed::Tracer::writeChromeTrace(tracePath)) {
+      std::fprintf(stderr, "trace written to %s\n", tracePath.c_str());
+    } else {
+      std::fprintf(stderr, "cannot write trace file: %s\n",
+                   tracePath.c_str());
     }
   }
-};
+  if (!metricsPath.empty()) {
+    if (aed::exportMetricsFile(metricsPath)) {
+      std::fprintf(stderr, "metrics snapshot written to %s\n",
+                   metricsPath.c_str());
+    } else {
+      std::fprintf(stderr, "cannot write metrics file: %s\n",
+                   metricsPath.c_str());
+    }
+  }
+  return 0;
+}
 
 /// Datacenter preset: turns a target router count into a leaf-spine shape
 /// mirroring the paper's 2-24 router datacenter networks.

@@ -2,13 +2,13 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdio>
 #include <exception>
 #include <memory>
 #include <set>
 #include <thread>
 
 #include "core/subsolver.hpp"
+#include "obs/export.hpp"
 #include "obs/flight.hpp"
 #include "obs/metrics.hpp"
 #include "obs/progress.hpp"
@@ -71,31 +71,6 @@ MetricsRegistry::Histogram& histDecisions() {
   static MetricsRegistry::Histogram h =
       MetricsRegistry::global().histogram("smt.decisions");
   return h;
-}
-
-/// JSON escaping for the flight-dump subproblem section.
-std::string jsonEscape(const std::string& text) {
-  std::string out;
-  out.reserve(text.size() + 8);
-  for (char c : text) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(c));
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
 }
 
 /// Renders the per-subproblem states (outcome, rung, solver effort) as a
@@ -670,10 +645,10 @@ AedResult synthesize(const ConfigTree& tree, const PolicySet& policies,
       result.updated = std::move(updated);
       break;
     }
-    const auto simulateStart = Clock::now();
     PolicySet violated;
+    double simulateSeconds = 0.0;
     {
-      AED_SPAN("aed.validate");
+      const Span span("aed.validate", &simulateSeconds);
       Progress::setPhase("validate");
       if (simEngine == nullptr) {
         simEngine = std::make_unique<SimulationEngine>(
@@ -685,7 +660,7 @@ AedResult synthesize(const ConfigTree& tree, const PolicySet& policies,
       violated = simEngine->violations(survivingPolicies);
       result.stats.simulate = simEngine->cacheStats();
     }
-    phaseBucket.simulateSeconds += secondsSince(simulateStart);
+    phaseBucket.simulateSeconds += simulateSeconds;
     // Deterministic fault injection for repair-heavy scenarios: treat the
     // first rejectRounds passing verdicts as failures, so the blocking +
     // re-solve machinery runs for real (tests and bench_incremental).

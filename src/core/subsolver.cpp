@@ -34,12 +34,10 @@ void solveInto(SubResult& result, const ConfigTree& tree, const Topology& topo,
                const AedOptions& options,
                const std::vector<std::vector<std::string>>& blockedDeltaSets,
                const Deadline& deadline, bool injectUnknown) {
-  auto phaseStart = Clock::now();
   const Sketch sketch = [&] {
-    AED_SPAN("subsolver.sketch");
+    const Span span("subsolver.sketch", &result.phases.sketchSeconds);
     return buildSketch(tree, topo, policies, options.sketch);
   }();
-  result.phases.sketchSeconds = secondsSince(phaseStart);
   result.deltaCount = sketch.deltas().size();
 
   // Declared after the sketch and before the encoder, which references
@@ -52,10 +50,9 @@ void solveInto(SubResult& result, const ConfigTree& tree, const Topology& topo,
   session.setDeadline(deadline);
   if (injectUnknown) session.injectUnknown(1);
 
-  phaseStart = Clock::now();
   std::optional<Encoder> encoder;
   {
-    AED_SPAN("subsolver.encode");
+    const Span span("subsolver.encode", &result.phases.encodeSeconds);
     encoder.emplace(session, tree, topo, sketch, options.encoder);
     encoder->encode(policies);
     // User objectives (scaled), then the default minimality pressure.
@@ -68,7 +65,6 @@ void solveInto(SubResult& result, const ConfigTree& tree, const Topology& topo,
       addPerDeltaMinimality(*encoder, kMinimalityWeight);
     }
   }
-  result.phases.encodeSeconds = secondsSince(phaseStart);
 
   // Every delta combination that failed validation in an earlier round is
   // a permanent hard constraint (see the header).
@@ -84,14 +80,12 @@ void solveInto(SubResult& result, const ConfigTree& tree, const Topology& topo,
     if (any) session.addHard(!all);
   }
 
-  phaseStart = Clock::now();
   SmtSession::Result check;
   {
-    Span span("subsolver.solve");
+    Span span("subsolver.solve", &result.phases.solveSeconds);
     check = session.check();
     if (span.active()) span.setDetail("status=" + check.status);
   }
-  result.phases.solveSeconds = secondsSince(phaseStart);
   result.rung = check.rung;
   result.rungReason = std::move(check.rungReason);
   result.solverStats = check.stats;
@@ -128,15 +122,15 @@ void solveInto(SubResult& result, const ConfigTree& tree, const Topology& topo,
       break;
   }
 
-  phaseStart = Clock::now();
-  AED_SPAN("subsolver.extract");
-  result.patch = encoder->extractPatch();
-  for (const DeltaVar& delta : sketch.deltas()) {
-    if (session.evalBool(encoder->deltaActive(delta))) {
-      result.activeDeltas.push_back(delta.name);
+  {
+    const Span span("subsolver.extract", &result.phases.extractSeconds);
+    result.patch = encoder->extractPatch();
+    for (const DeltaVar& delta : sketch.deltas()) {
+      if (session.evalBool(encoder->deltaActive(delta))) {
+        result.activeDeltas.push_back(delta.name);
+      }
     }
   }
-  result.phases.extractSeconds = secondsSince(phaseStart);
 
   // Only user objectives are reported; the per-delta minimality softs are an
   // internal mechanism.

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <string_view>
 
 namespace aed {
 
@@ -36,30 +37,6 @@ std::string formatDouble(double v) {
   return buffer;
 }
 
-std::string escapeJson(const std::string& text) {
-  std::string out;
-  out.reserve(text.size() + 8);
-  for (char c : text) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buffer[8];
-          std::snprintf(buffer, sizeof(buffer), "\\u%04x",
-                        static_cast<unsigned>(c));
-          out += buffer;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
 const char* kindName(MetricsRegistry::Kind kind) {
   switch (kind) {
     case MetricsRegistry::Kind::kCounter: return "counter";
@@ -70,6 +47,30 @@ const char* kindName(MetricsRegistry::Kind kind) {
 }
 
 }  // namespace
+
+std::string jsonEscape(std::string_view text) {
+  std::string out;
+  out.reserve(text.size());  // exact for the common no-escape case
+  for (const char c : text) {
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\n': out += "\\n"; break;
+      case '\t': out += "\\t"; break;
+      case '\r': out += "\\r"; break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char buffer[8];
+          std::snprintf(buffer, sizeof(buffer), "\\u%04x",
+                        static_cast<unsigned>(static_cast<unsigned char>(c)));
+          out += buffer;
+        } else {
+          out += c;
+        }
+    }
+  }
+  return out;
+}
 
 std::string metricsToPrometheus(
     const std::vector<MetricsRegistry::Sample>& samples) {
@@ -116,7 +117,7 @@ std::string metricsToJsonArray(
   for (const MetricsRegistry::Sample& sample : samples) {
     out += first ? "\n" : ",\n";
     first = false;
-    out += "    {\"name\": \"" + escapeJson(sample.name) + "\", \"kind\": \"";
+    out += "    {\"name\": \"" + jsonEscape(sample.name) + "\", \"kind\": \"";
     out += kindName(sample.kind);
     out += "\"";
     if (sample.kind != MetricsRegistry::Kind::kHistogram) {

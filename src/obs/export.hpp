@@ -21,11 +21,19 @@
 #pragma once
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "obs/metrics.hpp"
 
 namespace aed {
+
+/// The body of a JSON string literal for `text` (no surrounding quotes): `"`
+/// and `\` are backslash-escaped, \n \r \t use their short escapes, other
+/// control characters become \u00XX, and every other byte — non-ASCII UTF-8
+/// included — passes through unchanged. The one escaper every JSON writer in
+/// the engine uses (trace export, flight dumps, metrics, fuzz reports).
+std::string jsonEscape(std::string_view text);
 
 /// Renders samples in Prometheus text exposition format.
 std::string metricsToPrometheus(

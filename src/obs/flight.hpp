@@ -3,28 +3,29 @@
 // Tracing (§10) answers "where did the time go" but must be switched on
 // before the run; when a synthesis degrades, throws, or a deployment stage
 // aborts in production, the interesting two seconds are already in the past.
-// The flight recorder keeps them: every Span close and every log line is
-// additionally written into a bounded per-thread ring buffer of fixed-size
-// POD slots, always on by default, and the rings are rendered into a
-// self-contained JSON post-mortem ("flight dump") at the moment of failure —
-// recent spans and log lines in global order, the metrics snapshot, the
-// error code, and caller-supplied context such as per-subproblem states.
+// The flight recorder keeps them. It is the bounded view of the one
+// per-thread recorder behind Span (obs/trace.hpp): every Span close and
+// every log line is written into the thread's fixed ring of POD slots,
+// always on by default, and the rings are rendered into a self-contained
+// JSON post-mortem ("flight dump") at the moment of failure — recent spans
+// and log lines in global order, the metrics snapshot, the error code, and
+// caller-supplied context such as per-subproblem states. Ring events carry
+// the same thread index as the tracer's events.
 //
-// Memory budget: each thread owns a statically-sized ring of
-// kEventsPerThread slots of sizeof(Event) bytes (~32 KiB per thread, see the
-// constants below) — allocated once per thread, never grown, oldest events
-// overwritten. Retired threads park their events in a process-wide buffer
-// trimmed to kRetiredEventCap, so the whole recorder is O(threads) memory no
-// matter how long the process runs.
+// Memory budget: each thread's ring holds kEventsPerThread slots of
+// sizeof(Event) bytes (~32 KiB per thread, see the constants below) —
+// allocated once per thread, never grown, oldest events overwritten. Retired
+// threads park their events in a process-wide buffer trimmed to
+// kRetiredEventCap, so the ring view is O(threads) memory no matter how long
+// the process runs.
 //
-// Cost model: recording is two steady-clock reads plus a bounded copy into
-// the caller's own ring under the ring's lock — the lock is only ever
-// contended by a post-mortem reader, so steady-state recording never blocks
-// on other recording threads and never allocates. Event text is truncated
-// into a fixed char array (no std::string). FlightRecorder::setEnabled(false)
-// restores the §10 inert-span fast path (one relaxed load, no clock read) —
-// that is the configuration the <250 ns disabled-span budget in bench_obs
-// measures, and flight-on recording has its own budget there.
+// Cost model: a span close or log line is a bounded copy into the caller's
+// own ring under its recorder lock — contended only by a post-mortem reader,
+// so recording never blocks on other recording threads and never allocates.
+// Event text is truncated into a fixed char array (no std::string).
+// FlightRecorder::setEnabled(false) restores the §10 inert-span fast path
+// (no clock read) — that is the configuration the <250 ns disabled-span
+// budget in bench_obs measures, and flight-on recording is its spanFlight.
 //
 // Dump triggers: core/aed.cpp calls maybeDump() from its finalize path when
 // a run exits degraded/thrown/cancelled, apply/deploy.cpp when a stage
@@ -58,7 +59,7 @@ class FlightRecorder {
     std::uint64_t seq = 0;    // global record order; never 0 for a live slot
     std::int64_t timeUs = 0;  // microseconds since the tracer epoch
     std::int64_t durUs = 0;   // span duration; 0 for log lines
-    std::uint32_t tid = 0;    // flight-recorder thread index
+    std::uint32_t tid = 0;    // thread index, shared with TraceEvent::tid
     char kind = 's';          // 's' span, 'l' log
     char text[kTextCapacity + 1] = {0};
   };
@@ -77,9 +78,6 @@ class FlightRecorder {
   static void setEnabled(bool enabled);
   static bool enabled();
 
-  /// Records a closed span. Called by Span::~Span; `detail` may be empty.
-  static void recordSpan(const char* name, std::string_view detail,
-                         std::int64_t startUs, std::int64_t durUs);
   /// Records one log line (already formatted, single line).
   static void recordLog(const char* level, std::string_view line);
 

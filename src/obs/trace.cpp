@@ -1,16 +1,17 @@
 #include "obs/trace.hpp"
 
-#include "obs/flight.hpp"
-
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <cstdio>
 #include <fstream>
 #include <iterator>
 #include <mutex>
 #include <ostream>
 #include <string_view>
+
+#include "obs/export.hpp"
+#include "obs/flight.hpp"
+#include "obs/recorder.hpp"
 
 namespace aed {
 
@@ -25,7 +26,10 @@ std::atomic<bool> g_enabled{false};
 
 /// Monotonic span ids; 0 is reserved for "no span".
 std::atomic<std::uint64_t> g_nextSpanId{1};
+/// The one thread index, shared by trace events and flight events.
 std::atomic<std::uint32_t> g_nextTid{1};
+/// Global flight-ring record order; 0 is reserved for "empty slot".
+std::atomic<std::uint64_t> g_nextSeq{1};
 
 Clock::time_point epoch() {
   static const Clock::time_point start = Clock::now();
@@ -38,89 +42,86 @@ std::int64_t nowUs() {
       .count();
 }
 
-struct ThreadBuffer;
-
-/// Process-wide collector: owns events flushed by exited threads and a
-/// registry of live per-thread buffers for collect() to drain.
-struct Collector {
-  std::mutex mutex;
-  std::vector<TraceEvent> flushed;
-  std::vector<ThreadBuffer*> live;
-
-  static Collector& instance() {
-    // Leaked intentionally: thread-exit flushes may run during process
-    // teardown, after function-local statics would have been destroyed.
-    static Collector* collector = new Collector();
-    return *collector;
-  }
-};
-
-/// Per-thread event buffer. The mutex is only contended when an exporter
-/// drains a live buffer mid-run; the owning thread's appends are otherwise
-/// uncontended lock/unlock pairs.
-struct ThreadBuffer {
-  std::mutex mutex;
-  std::vector<TraceEvent> events;
-  std::uint32_t tid;
-
-  ThreadBuffer() : tid(g_nextTid.fetch_add(1, std::memory_order_relaxed)) {
-    Collector& collector = Collector::instance();
-    const std::lock_guard<std::mutex> lock(collector.mutex);
-    collector.live.push_back(this);
-  }
-
-  ~ThreadBuffer() {
-    Collector& collector = Collector::instance();
-    const std::lock_guard<std::mutex> lock(collector.mutex);
-    {
-      const std::lock_guard<std::mutex> bufferLock(mutex);
-      collector.flushed.insert(collector.flushed.end(),
-                               std::make_move_iterator(events.begin()),
-                               std::make_move_iterator(events.end()));
-      events.clear();
-    }
-    collector.live.erase(
-        std::remove(collector.live.begin(), collector.live.end(), this),
-        collector.live.end());
-  }
-
-  void append(TraceEvent event) {
-    event.tid = tid;
-    const std::lock_guard<std::mutex> lock(mutex);
-    events.push_back(std::move(event));
-  }
-};
-
-ThreadBuffer& threadBuffer() {
-  static thread_local ThreadBuffer buffer;
-  return buffer;
-}
-
 /// Innermost open span on this thread. Plain thread_local (not in the
-/// buffer struct) so ScopedParent stays cheap and usable pre-registration.
+/// recorder) so ScopedParent stays cheap and usable pre-registration.
 thread_local std::uint64_t t_currentSpan = 0;
 
-void escapeJson(std::string_view text, std::string& out) {
-  for (const char c : text) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
+}  // namespace
+
+namespace obs_internal {
+
+Recorders& Recorders::instance() {
+  // Leaked intentionally: thread-exit retirement may run during process
+  // teardown, after function-local statics would have been destroyed.
+  static Recorders* recorders = new Recorders();
+  return *recorders;
+}
+
+ThreadRecorder::ThreadRecorder()
+    : tid(g_nextTid.fetch_add(1, std::memory_order_relaxed)) {
+  Recorders& recorders = Recorders::instance();
+  const std::lock_guard<std::mutex> lock(recorders.mutex);
+  recorders.live.push_back(this);
+}
+
+ThreadRecorder::~ThreadRecorder() {
+  Recorders& recorders = Recorders::instance();
+  const std::lock_guard<std::mutex> lock(recorders.mutex);
+  {
+    const std::lock_guard<std::mutex> recorderLock(mutex);
+    recorders.retiredTrace.insert(recorders.retiredTrace.end(),
+                                  std::make_move_iterator(trace.begin()),
+                                  std::make_move_iterator(trace.end()));
+    appendRing(recorders.retiredRing);
+  }
+  // Keep only the newest kRetiredEventCap ring events across retirements.
+  std::vector<FlightRecorder::Event>& retired = recorders.retiredRing;
+  if (retired.size() > FlightRecorder::kRetiredEventCap) {
+    std::sort(retired.begin(), retired.end(),
+              [](const FlightRecorder::Event& a,
+                 const FlightRecorder::Event& b) { return a.seq < b.seq; });
+    retired.erase(retired.begin(),
+                  retired.end() - FlightRecorder::kRetiredEventCap);
+  }
+  recorders.live.erase(
+      std::remove(recorders.live.begin(), recorders.live.end(), this),
+      recorders.live.end());
+}
+
+void ThreadRecorder::recordRing(char kind, std::int64_t timeUs,
+                                std::int64_t durUs, std::string_view a,
+                                std::string_view b) {
+  FlightRecorder::Event& slot = ring[ringWritten++ % ring.size()];
+  slot.seq = g_nextSeq.fetch_add(1, std::memory_order_relaxed);
+  slot.timeUs = timeUs;
+  slot.durUs = durUs;
+  slot.tid = tid;
+  slot.kind = kind;
+  std::size_t n = 0;
+  for (std::string_view part : {a, b.empty() ? b : std::string_view(" "), b}) {
+    n += part.copy(slot.text + n, FlightRecorder::kTextCapacity - n);
+  }
+  slot.text[n] = '\0';
+}
+
+void ThreadRecorder::appendRing(
+    std::vector<FlightRecorder::Event>& out) const {
+  const std::size_t cap = ring.size();
+  const std::size_t valid = std::min<std::uint64_t>(ringWritten, cap);
+  for (std::size_t i = 0; i < valid; ++i) {
+    out.push_back(ring[(ringWritten - valid + i) % cap]);
   }
 }
 
-}  // namespace
+ThreadRecorder& threadRecorder() {
+  static thread_local ThreadRecorder recorder;
+  return recorder;
+}
+
+}  // namespace obs_internal
+
+using obs_internal::Recorders;
+using obs_internal::ThreadRecorder;
 
 std::int64_t tracerNowUs() { return nowUs(); }
 
@@ -136,25 +137,25 @@ void Tracer::enable() {
 void Tracer::disable() { g_enabled.store(false, std::memory_order_relaxed); }
 
 void Tracer::clear() {
-  Collector& collector = Collector::instance();
-  const std::lock_guard<std::mutex> lock(collector.mutex);
-  collector.flushed.clear();
-  for (ThreadBuffer* buffer : collector.live) {
-    const std::lock_guard<std::mutex> bufferLock(buffer->mutex);
-    buffer->events.clear();
+  Recorders& recorders = Recorders::instance();
+  const std::lock_guard<std::mutex> lock(recorders.mutex);
+  recorders.retiredTrace.clear();
+  for (ThreadRecorder* recorder : recorders.live) {
+    const std::lock_guard<std::mutex> recorderLock(recorder->mutex);
+    recorder->trace.clear();
   }
 }
 
 std::vector<TraceEvent> Tracer::collect() {
   std::vector<TraceEvent> result;
-  Collector& collector = Collector::instance();
+  Recorders& recorders = Recorders::instance();
   {
-    const std::lock_guard<std::mutex> lock(collector.mutex);
-    result = collector.flushed;
-    for (ThreadBuffer* buffer : collector.live) {
-      const std::lock_guard<std::mutex> bufferLock(buffer->mutex);
-      result.insert(result.end(), buffer->events.begin(),
-                    buffer->events.end());
+    const std::lock_guard<std::mutex> lock(recorders.mutex);
+    result = recorders.retiredTrace;
+    for (ThreadRecorder* recorder : recorders.live) {
+      const std::lock_guard<std::mutex> recorderLock(recorder->mutex);
+      result.insert(result.end(), recorder->trace.begin(),
+                    recorder->trace.end());
     }
   }
   std::sort(result.begin(), result.end(),
@@ -184,7 +185,7 @@ void Tracer::writeChromeTrace(std::ostream& out) {
     if (!first) json += ",";
     first = false;
     json += "\n{\"name\":\"";
-    escapeJson(event.name, json);
+    json += jsonEscape(event.name);
     json += "\",\"cat\":\"aed\",\"ph\":\"X\",\"pid\":1,\"tid\":";
     json += std::to_string(event.tid);
     json += ",\"ts\":";
@@ -197,7 +198,7 @@ void Tracer::writeChromeTrace(std::ostream& out) {
     json += std::to_string(event.parent);
     if (!event.detail.empty()) {
       json += ",\"detail\":\"";
-      escapeJson(event.detail, json);
+      json += jsonEscape(event.detail);
       json += "\"";
     }
     json += "}}";
@@ -221,7 +222,7 @@ void Span::open(const char* name) {
     t_currentSpan = id_;
   }
   flight_ = FlightRecorder::enabled();
-  if (id_ != 0 || flight_) startUs_ = nowUs();
+  if (id_ != 0 || flight_ || elapsedSeconds_ != nullptr) startUs_ = nowUs();
 }
 
 Span::Span(const char* name) { open(name); }
@@ -233,24 +234,31 @@ Span::Span(const char* name, std::string detail) {
   if (id_ != 0 || flight_) detail_ = std::move(detail);
 }
 
+Span::Span(const char* name, double* elapsedSeconds)
+    : elapsedSeconds_(elapsedSeconds) {
+  open(name);
+}
+
 void Span::setDetail(std::string detail) {
   if (id_ != 0) detail_ = std::move(detail);
 }
 
 Span::~Span() {
-  if (id_ == 0 && !flight_) return;
+  if (id_ == 0 && !flight_ && elapsedSeconds_ == nullptr) return;
   const std::int64_t durUs = nowUs() - startUs_;
-  if (flight_) FlightRecorder::recordSpan(name_, detail_, startUs_, durUs);
-  if (id_ == 0) return;
-  t_currentSpan = parent_;
-  TraceEvent event;
-  event.name = name_;
-  event.detail = std::move(detail_);
-  event.id = id_;
-  event.parent = parent_;
-  event.startUs = startUs_;
-  event.durUs = durUs;
-  threadBuffer().append(std::move(event));
+  if (elapsedSeconds_ != nullptr) {
+    *elapsedSeconds_ = static_cast<double>(durUs) * 1e-6;
+  }
+  if (id_ != 0) t_currentSpan = parent_;
+  if (id_ == 0 && !flight_) return;
+  ThreadRecorder& recorder = obs_internal::threadRecorder();
+  const std::lock_guard<std::mutex> lock(recorder.mutex);
+  if (flight_) recorder.recordRing('s', startUs_, durUs, name_, detail_);
+  if (id_ != 0) {
+    recorder.trace.push_back(TraceEvent{name_, std::move(detail_), id_,
+                                        parent_, recorder.tid, startUs_,
+                                        durUs});
+  }
 }
 
 }  // namespace aed

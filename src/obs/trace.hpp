@@ -4,9 +4,16 @@
 // (Figures 11-14). To attribute wall-clock inside a parallel repair round the
 // engine opens one Span per unit of interesting work — synthesize, round,
 // subproblem solve, SmtSession::check, violations sweep, deployment stage —
-// and the tracer records a (name, start, duration, thread, parent) event per
-// span. Events can be exported as Chrome trace-event JSON, loadable by
+// and a closed span becomes a (name, start, duration, thread, parent) event.
+// Events can be exported as Chrome trace-event JSON, loadable by
 // chrome://tracing and Perfetto (aed_cli --trace, AED_TRACE_OUT for benches).
+//
+// One recorder, two views. Every thread has one recorder (obs/recorder.hpp)
+// holding a bounded ring — the flight recorder's view (obs/flight.hpp),
+// written on every span close while FlightRecorder is enabled, which is the
+// default — and an unbounded event vector, the tracer's view, written only
+// while Tracer is enabled. Both views stamp the same thread index, so a
+// flight dump and a Chrome trace of one run agree on every `tid`.
 //
 // Parenting. Each thread keeps the id of its innermost open span; a new Span
 // adopts it as parent. For work shipped to another thread, the submitter's
@@ -15,20 +22,19 @@
 // for every task, so a subproblem span opened on a worker parents correctly
 // under the round span that enqueued it (asserted by tests/obs_test.cpp).
 //
-// Cost model. Tracing is off by default. A fully disabled Span (tracer off
-// AND FlightRecorder off) is two relaxed atomic loads and a few stores to a
+// Cost model. A fully inert Span (tracer off AND flight recorder off, no
+// elapsed-seconds output) is two relaxed atomic loads and a few stores to a
 // trivially-constructible struct: no clock read, no allocation (asserted by
-// an operator-new-counting test), no lock. An enabled Span appends to a
-// per-thread buffer whose mutex is only ever contended by a concurrent
-// exporter, so steady-state recording never blocks on other threads. The
-// always-on flight recorder (obs/flight.hpp) additionally receives every
-// closed span — two clock reads plus a bounded copy into the thread's own
-// ring — unless explicitly switched off. Compiling with
-// -DAED_DISABLE_TRACING removes the AED_SPAN statements entirely.
+// an operator-new-counting test), no lock. Otherwise a Span reads the clock
+// twice and, on close, takes its thread's recorder lock once to write the
+// ring slot and/or append the trace event. That lock is only ever contended
+// by a concurrent collect()/clear(), so recording never blocks on other
+// recording threads. Compiling with -DAED_DISABLE_TRACING removes the
+// AED_SPAN statements entirely.
 //
-// Thread-buffer lifetime: buffers are registered with a process-wide
-// collector on first use and flush their remaining events into it when their
-// thread exits, so short-lived pool threads never lose spans.
+// Lifetime: recorders are registered with a process-wide registry on first
+// use and hand their remaining events to it when their thread exits, so
+// short-lived pool threads never lose spans.
 #pragma once
 
 #include <cstdint>
@@ -107,9 +113,10 @@ class Tracer {
 };
 
 /// RAII span: records one TraceEvent from construction to destruction when
-/// tracing is enabled, feeds the flight recorder's ring whenever that is
+/// tracing is enabled, writes the flight ring whenever the flight recorder is
 /// enabled (the default), and is inert (no clock, no allocation) when both
-/// are off. `name` must have static storage duration (string literals).
+/// are off and no elapsed-seconds output is set. `name` must have static
+/// storage duration (string literals).
 class Span {
  public:
   explicit Span(const char* name);
@@ -117,6 +124,10 @@ class Span {
   /// the flight recorder will record it; callers on hot paths should prefer
   /// the name-only overload or setDetail() under `if (active())`.
   Span(const char* name, std::string detail);
+  /// Also stores the span's duration, in seconds, into `*elapsedSeconds` on
+  /// close — the same clock readings the trace and ring events carry, so a
+  /// phase timed this way is timed once. Always reads the clock.
+  Span(const char* name, double* elapsedSeconds);
   ~Span();
   Span(const Span&) = delete;
   Span& operator=(const Span&) = delete;
@@ -137,6 +148,7 @@ class Span {
   std::uint64_t id_ = 0;      // 0 = not traced
   std::uint64_t parent_ = 0;
   std::int64_t startUs_ = 0;
+  double* elapsedSeconds_ = nullptr;
   bool flight_ = false;       // recorded into the flight ring on close
 };
 

@@ -504,12 +504,18 @@ TEST_F(ObsTest, ConcurrentSpansAndExportsAreRaceFree) {
       }
     });
   }
-  // Exporters race the recorders: collect + serialize + clear, repeatedly.
+  // Exporters race the recorders: collect + serialize + clear, repeatedly,
+  // through both views of the one per-thread recorder (the flight recorder
+  // is on, so every span close writes the ring and the trace together).
   for (int round = 0; round < 20; ++round) {
     std::ostringstream out;
     Tracer::writeChromeTrace(out);
     EXPECT_NE(out.str().find("traceEvents"), std::string::npos);
     Tracer::clear();
+    for (const auto& event : FlightRecorder::collect()) {
+      EXPECT_NE(event.seq, 0u);  // never a half-written or cleared slot
+    }
+    if (round % 5 == 4) FlightRecorder::clear();
   }
   for (auto& thread : threads) thread.join();
   // Post-join sanity: recording still works after the concurrent churn.
@@ -659,6 +665,16 @@ TEST_F(ObsTest, JsonExportIsValidAndSelfDescribing) {
   const std::string empty = metricsToJson({});
   JsonChecker emptyChecker(empty);
   EXPECT_TRUE(emptyChecker.valid()) << empty;
+}
+
+TEST_F(ObsTest, JsonEscapeCoversQuotesControlsAndNonAscii) {
+  EXPECT_EQ(jsonEscape("say \"hi\" \\ bye"), "say \\\"hi\\\" \\\\ bye");
+  EXPECT_EQ(jsonEscape("a\nb\rc\td"), "a\\nb\\rc\\td");
+  EXPECT_EQ(jsonEscape(std::string_view("\x01\x1f\0\x08", 4)),
+            "\\u0001\\u001f\\u0000\\u0008");
+  // Bytes >= 0x80 (UTF-8 sequences, stray high bytes) and DEL pass through.
+  EXPECT_EQ(jsonEscape("caf\xc3\xa9 \xff\x7f"), "caf\xc3\xa9 \xff\x7f");
+  EXPECT_EQ(jsonEscape(""), "");
 }
 
 TEST_F(ObsTest, ExportMetricsFilePicksFormatByExtension) {
@@ -947,6 +963,32 @@ TEST_F(ObsTest, LogLinesReachTheFlightRing) {
   EXPECT_TRUE(found);
 }
 
+TEST_F(ObsTest, TraceAndFlightEventsShareOneThreadIndex) {
+  // Log-only threads register a recorder and take thread indices without
+  // ever tracing; a traced thread started after them must still carry one
+  // index in both views.
+  setLogSink([](LogLevel, const std::string&) {});
+  std::vector<std::thread> loggers;
+  for (int t = 0; t < 3; ++t) {
+    loggers.emplace_back([] { logWarn() << "log-only thread"; });
+  }
+  for (auto& thread : loggers) thread.join();
+  Tracer::enable();
+  std::thread([] { Span span("tid.probe"); }).join();
+  Tracer::disable();
+
+  const std::vector<TraceEvent> traced = Tracer::collect();
+  const TraceEvent* traceEvent = findByName(traced, "tid.probe");
+  ASSERT_NE(traceEvent, nullptr);
+  const auto flight = FlightRecorder::collect();
+  const auto flightEvent =
+      std::find_if(flight.begin(), flight.end(), [](const auto& event) {
+        return event.kind == 's' && std::string_view(event.text) == "tid.probe";
+      });
+  ASSERT_NE(flightEvent, flight.end());
+  EXPECT_EQ(traceEvent->tid, flightEvent->tid);
+}
+
 // ---- solver introspection ---------------------------------------------------
 
 TEST_F(ObsTest, SolverStatsSurfaceInSubproblemReports) {
@@ -1072,6 +1114,35 @@ TEST_F(ObsTest, SynthesizeEmitsANestedSpanTreeCoveringTheRun) {
     if (std::string("smt.check") != event.name) continue;
     EXPECT_TRUE(hasAncestor(index, event.id, root->id));
   }
+}
+
+TEST_F(ObsTest, PhaseSecondsAreTheSpanDurations) {
+  // Each phase is timed once, by its span: the stats are the sums of the
+  // recorded durations, not a second clock reading.
+  const ConfigTree tree = parseNetworkConfig(figure1ConfigText());
+  Tracer::enable();
+  AedOptions options;
+  options.workers = 2;
+  const AedResult result =
+      synthesize(tree, figure1AllPolicies(), {}, options);
+  Tracer::disable();
+  ASSERT_TRUE(result.success) << result.error;
+  ASSERT_EQ(result.stats.repairRounds, 0u);  // every span is round 0's
+
+  std::map<std::string, double> spanSeconds;
+  std::map<std::string, int> spanCount;
+  for (const TraceEvent& event : Tracer::collect()) {
+    spanSeconds[event.name] += static_cast<double>(event.durUs) * 1e-6;
+    ++spanCount[event.name];
+  }
+  ASSERT_GT(spanCount["subsolver.encode"], 0);
+  ASSERT_GT(spanCount["aed.validate"], 0);
+  const PhaseBreakdown& phases = result.stats.firstRound;
+  EXPECT_NEAR(spanSeconds["subsolver.encode"], phases.encodeSeconds, 1e-9);
+  EXPECT_NEAR(spanSeconds["subsolver.sketch"], phases.sketchSeconds, 1e-9);
+  EXPECT_NEAR(spanSeconds["subsolver.solve"], phases.solveSeconds, 1e-9);
+  EXPECT_NEAR(spanSeconds["subsolver.extract"], phases.extractSeconds, 1e-9);
+  EXPECT_NEAR(spanSeconds["aed.validate"], phases.simulateSeconds, 1e-9);
 }
 
 TEST_F(ObsTest, FailedRunsStillPopulateStatsAndMetrics) {
