@@ -3,9 +3,9 @@
 // Usage:
 //   aed_cli --configs <file> --policies <file> [--objectives <file>]
 //           [--out <file>] [--sequential] [--no-validate] [--verbose]
-//           [--budget-ms <n>] [--staged-apply] [--sim-cache-entries <n>]
-//           [--trace <file>] [--metrics] [--metrics-out <file>]
-//           [--solver-stats] [--progress]
+//           [--budget-ms <n>] [--staged-apply] [--trace <file>]
+//           [--metrics] [--metrics-out <file>] [--solver-stats]
+//           [--progress]
 //   aed_cli --gen smoke|nightly [--seed <n>] [other flags as above]
 //
 // Reads the network configuration (the canonical dialect; all routers in
@@ -82,7 +82,6 @@ int usage() {
                "               [--objectives <file>] [--out <file>]\n"
                "               [--sequential] [--no-validate] [--verbose]\n"
                "               [--budget-ms <n>] [--staged-apply]\n"
-               "               [--sim-cache-entries <n>]\n"
                "               [--trace <file>] [--metrics]\n"
                "               [--metrics-out <file>] [--solver-stats]\n"
                "               [--progress]\n"
@@ -181,13 +180,6 @@ int main(int argc, char** argv) {
         options.timeBudgetMs = std::stoull(v);
       }
       else if (arg == "--staged-apply") options.stagedDeployment = true;
-      else if (arg == "--sim-cache-entries") {
-        const std::string v = value();
-        if (v.empty() || v.find_first_not_of("0123456789") != std::string::npos) {
-          throw AedError("invalid --sim-cache-entries value: " + v);
-        }
-        options.simCacheMaxEntries = std::stoull(v);
-      }
       else if (arg == "--trace") {
         obs.tracePath = value();
         Tracer::enable();

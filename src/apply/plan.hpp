@@ -9,7 +9,7 @@
 // addresses exactly that gap:
 //
 //   1. The merged patch is partitioned into atomic units — one per touched
-//      router, further split per destination prefix when every edit of a
+//      router, split per destination prefix when every edit of a
 //      router is attributable to a destination and no unit structurally
 //      depends on another (a rule added under a filter that a different
 //      unit creates must ride with that filter).
@@ -42,18 +42,8 @@
 namespace aed {
 
 struct DeployOptions {
-  /// Split a router's edits into per-destination stages when safely
-  /// possible (no cross-destination structural dependency, every edit
-  /// attributable). Off = one stage per touched router.
-  bool splitByDestination = true;
-  /// When no remaining stage is individually safe, merge the remainder into
-  /// one atomic one-shot stage instead of failing the plan.
-  bool allowOneShotFallback = true;
   /// Worker threads for the validation engine (0 = hardware concurrency).
   std::size_t workers = 0;
-  /// Route-table memo cache cap for the validation engine (0 = unlimited);
-  /// see SimulationEngine.
-  std::size_t simCacheMaxEntries = 0;
 };
 
 /// Lifecycle of one stage: planned (not yet executed), committed (applied
@@ -118,9 +108,9 @@ PolicySet regressionGuard(const ConfigTree& base, const ConfigTree& updated,
 
 /// Plans a staged rollout of `merged` over `base`. `policies` is the full
 /// post-update policy set (the guard is derived from it). Never throws on
-/// unorderable inputs — it degrades to the one-shot fallback (or, with the
-/// fallback disabled, appends the remaining units unvalidated, in
-/// deterministic order, with validated=false).
+/// unorderable inputs — it merges the units it could not order into one
+/// one-shot stage, simulation-checked like every other stage (validated is
+/// false only if that check fails or the merged patch does not apply).
 DeploymentPlan planStagedRollout(const ConfigTree& base, const Patch& merged,
                                  const PolicySet& policies,
                                  const DeployOptions& options = {});

@@ -141,8 +141,6 @@ void publishStats(const AedResult& result) {
               static_cast<double>(sim.fullInvalidations));
   metrics.add("sim.targeted_invalidations",
               static_cast<double>(sim.targetedInvalidations));
-  metrics.add("sim.evictions", static_cast<double>(sim.evictions));
-  metrics.add("sim.quarantined_tables", static_cast<double>(sim.quarantined));
   metrics.add("sim.parallel_batches",
               static_cast<double>(sim.parallelBatches));
   metrics.add("sim.parallel_tasks", static_cast<double>(sim.parallelTasks));
@@ -271,8 +269,10 @@ AedResult synthesize(const ConfigTree& tree, const PolicySet& policies,
   Progress::setWork(groups.size());
 
   std::vector<SubResult> subResults(groups.size());
-  // Solver effort per group, accumulated across repair rounds on the
-  // coordinating thread (subResults only keeps the last round's solve).
+  // Solve seconds and solver effort per group, accumulated across repair
+  // rounds on the coordinating thread (subResults only keeps the last
+  // round's solve).
+  std::vector<double> secondsTotals(groups.size(), 0.0);
   std::vector<SolverStats> solverTotals(groups.size());
 
   // Fills the outcome report and aggregate stats from subResults, then
@@ -295,7 +295,7 @@ AedResult synthesize(const ConfigTree& tree, const PolicySet& policies,
       report.outcome = sub.outcome;
       report.code = sub.code;
       report.detail = sub.detail;
-      report.seconds = sub.seconds;
+      report.seconds = secondsTotals[i];
       report.rung = sub.rung;
       report.rungReason = sub.rungReason;
       report.solverStats = solverTotals[i];
@@ -311,9 +311,6 @@ AedResult synthesize(const ConfigTree& tree, const PolicySet& policies,
         violatedLabels.insert(label);
       }
       res.stats.deltaCount += sub.deltaCount;
-      res.stats.maxSubproblemSeconds =
-          std::max(res.stats.maxSubproblemSeconds, sub.seconds);
-      res.stats.sumSubproblemSeconds += sub.seconds;
     }
     std::set<std::string> satisfiedLabels;
     for (const SubResult& sub : subResults) {
@@ -397,7 +394,16 @@ AedResult synthesize(const ConfigTree& tree, const PolicySet& policies,
     }
     if (pending.empty()) break;
 
-    Span roundSpan("aed.round");
+    // The round's duration (solve + validate) is the aed.round span's own.
+    // The guard is declared before the span, so it is destroyed after it and
+    // records the stored duration however the iteration exits (success
+    // break, fail return, or rethrow).
+    double roundSeconds = 0.0;
+    struct RoundHistogram {
+      const double& seconds;
+      ~RoundHistogram() { histRoundSeconds().record(seconds); }
+    } roundHistogram{roundSeconds};
+    Span roundSpan("aed.round", &roundSeconds);
     if (roundSpan.active()) {
       roundSpan.setDetail("round=" + std::to_string(round) +
                           " pending=" + std::to_string(pending.size()));
@@ -405,12 +411,6 @@ AedResult synthesize(const ConfigTree& tree, const PolicySet& policies,
     Progress::setPhase(round == 0 ? "solve" : "repair");
     Progress::setRound(static_cast<std::size_t>(round));
     Progress::setWork(pending.size());
-    // Repair-round duration (solve + validate), recorded however the
-    // iteration exits (success break, fail return, or rethrow).
-    struct RoundTimer {
-      Clock::time_point start = Clock::now();
-      ~RoundTimer() { histRoundSeconds().record(secondsSince(start)); }
-    } roundTimer;
 
     // Split the remaining global budget across the queued subproblems: each
     // of the ceil(pending/workers) sequential batches gets an equal share.
@@ -441,13 +441,9 @@ AedResult synthesize(const ConfigTree& tree, const PolicySet& policies,
              code == ErrorCode::kCancelled;
     };
     const auto solveOne = [&](std::size_t i) {
-      // Runs on a pool worker in parallel mode: the worker installed the
-      // submitting thread's span context, so this span parents under the
-      // round span regardless of which thread executes it.
-      //
-      // solveSubproblem builds, solves and frees its own Z3 context here, so
-      // the span and SubResult::seconds cover the context's release too.
-      Span span("aed.subproblem");
+      // Set by the aed.subproblem span on close; stays 0 for a subproblem
+      // that never reaches solveSubproblem (cancelled, injected throw).
+      double seconds = 0.0;
       try {
         const FaultInjection& fault = options.faultInjection;
         const bool injected =
@@ -473,12 +469,26 @@ AedResult synthesize(const ConfigTree& tree, const PolicySet& policies,
         if (!globalDeadline.isUnlimited()) {
           deadline = Deadline::after(perSubproblemMs).min(globalDeadline);
         }
-        if (options.subproblemTimeoutMs != 0) {
-          deadline = Deadline::after(options.subproblemTimeoutMs).min(deadline);
-        }
+        // Runs on a pool worker in parallel mode: the worker installed the
+        // submitting thread's span context, so this span parents under the
+        // round span regardless of which thread executes it. solveSubproblem
+        // builds, solves and frees its own Z3 context, so the span — and
+        // with it SubResult::seconds — covers the context's release too.
+        Span span("aed.subproblem", &seconds);
+        if (span.active()) span.setDetail("dst=" + destinations[i]);
         subResults[i] = solveSubproblem(
             tree, topo, groups[i], objectives, effective, blocked, deadline,
             injected && fault.kind == FaultInjection::Kind::kUnknown);
+        if (span.active()) {
+          const SubResult& sub = subResults[i];
+          span.setDetail("dst=" + destinations[i] +
+                         " vars=" + std::to_string(sub.solverStats.vars) +
+                         " assertions=" +
+                         std::to_string(sub.solverStats.assertions) +
+                         " conflicts=" +
+                         std::to_string(sub.solverStats.conflicts) +
+                         " rung=" + solveRungName(sub.rung));
+        }
       } catch (const AedError& e) {
         if (!isolatable(e.code())) throw;  // deterministic: fail the run
         const SubOutcome outcome = e.code() == ErrorCode::kTimeout
@@ -492,16 +502,7 @@ AedResult synthesize(const ConfigTree& tree, const PolicySet& policies,
         subResults[i] = failedSubResult(
             SubOutcome::kError, ErrorCode::kSubproblemFailed, e.what());
       }
-      if (span.active()) {
-        const SubResult& sub = subResults[i];
-        span.setDetail("dst=" + destinations[i] +
-                       " vars=" + std::to_string(sub.solverStats.vars) +
-                       " assertions=" +
-                       std::to_string(sub.solverStats.assertions) +
-                       " conflicts=" +
-                       std::to_string(sub.solverStats.conflicts) +
-                       " rung=" + solveRungName(sub.rung));
-      }
+      subResults[i].seconds = seconds;
       Progress::incrDone();
     };
     std::exception_ptr fatal;
@@ -553,8 +554,12 @@ AedResult synthesize(const ConfigTree& tree, const PolicySet& policies,
     // publishes it).
     PhaseBreakdown& phaseBucket =
         round == 0 ? result.stats.firstRound : result.stats.repair;
+    double slowestSeconds = 0.0;
     for (std::size_t i : pending) {
       const SubResult& sub = subResults[i];
+      secondsTotals[i] += sub.seconds;
+      slowestSeconds = std::max(slowestSeconds, sub.seconds);
+      result.stats.sumSubproblemSeconds += sub.seconds;
       phaseBucket.sketchSeconds += sub.phases.sketchSeconds;
       phaseBucket.encodeSeconds += sub.phases.encodeSeconds;
       phaseBucket.solveSeconds += sub.phases.solveSeconds;
@@ -572,6 +577,9 @@ AedResult synthesize(const ConfigTree& tree, const PolicySet& policies,
         solverTotals[i].accumulate(sub.solverStats);
       }
     }
+    // Rounds run one after another, so the critical path adds up each
+    // round's slowest solve.
+    result.stats.maxSubproblemSeconds += slowestSeconds;
     if (fatal) std::rethrow_exception(fatal);
 
     // Unsat is fatal for the whole run: the policies conflict (§11 "SMT
@@ -651,8 +659,8 @@ AedResult synthesize(const ConfigTree& tree, const PolicySet& policies,
       const Span span("aed.validate", &simulateSeconds);
       Progress::setPhase("validate");
       if (simEngine == nullptr) {
-        simEngine = std::make_unique<SimulationEngine>(
-            updated, options.workers, options.simCacheMaxEntries);
+        simEngine =
+            std::make_unique<SimulationEngine>(updated, options.workers);
       } else {
         simEngine->rebind(updated, {&lastMerged, &merged});
       }
@@ -762,9 +770,6 @@ AedResult synthesize(const ConfigTree& tree, const PolicySet& policies,
     Progress::setPhase("deploy");
     DeployOptions deployOptions = options.deploy;
     if (deployOptions.workers == 0) deployOptions.workers = options.workers;
-    if (deployOptions.simCacheMaxEntries == 0) {
-      deployOptions.simCacheMaxEntries = options.simCacheMaxEntries;
-    }
     result.deployment =
         planStagedRollout(tree, result.patch, policies, deployOptions);
     DeployFaultInjection deployFault;

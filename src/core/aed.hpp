@@ -110,28 +110,20 @@ struct AedOptions {
   bool validateWithSimulator = true;
   int maxRepairIterations = 3;
 
-  /// Entry cap for the SimulationEngine's route-table memo cache
-  /// (0 = unlimited); least-recently-used tables are evicted past the cap.
-  /// Applies to validation and, unless overridden there, staged deployment.
-  std::size_t simCacheMaxEntries = 0;
-
   /// After a successful synthesis, plan a policy-safe staged rollout of the
   /// patch and execute it (with fault injection, against a scratch clone of
   /// the input tree) — see apply/plan.hpp. The plan and its execution
   /// summary are returned in AedResult::deployment; a deployment abort marks
   /// the result degraded but does not fail it.
   bool stagedDeployment = false;
-  /// Planner/executor knobs for stagedDeployment. workers and
-  /// simCacheMaxEntries inherit the outer options when left 0.
+  /// Planner/executor knobs for stagedDeployment. workers inherits the outer
+  /// option when left 0.
   DeployOptions deploy;
 
   /// Global wall-clock budget in milliseconds for the whole run, split
   /// across queued subproblems and wired to Z3's timeout parameter.
   /// 0 = unlimited.
   std::uint64_t timeBudgetMs = 0;
-  /// Additional per-subproblem solver cap in milliseconds. 0 = unlimited
-  /// (the split of timeBudgetMs still applies).
-  std::uint64_t subproblemTimeoutMs = 0;
   /// Anytime mode: on timeout/unknown fall through the degradation ladder
   /// (drop minimality softs, then hard-constraints-only SAT) instead of
   /// failing the subproblem outright.
@@ -169,7 +161,7 @@ struct SubproblemReport {
   SubOutcome outcome = SubOutcome::kOk;
   ErrorCode code = ErrorCode::kNone;
   std::string detail;  // human-readable: exception text, ladder rung, ...
-  double seconds = 0.0;
+  double seconds = 0.0;  // aed.subproblem span durations, summed over rounds
   /// Solver introspection (§12): the rung that produced the final answer
   /// (last solve of the last round), why, and Z3 effort counters summed
   /// across every round of this subproblem. aed_cli --solver-stats prints
@@ -195,7 +187,9 @@ struct PhaseBreakdown {
 
 struct AedStats {
   double totalSeconds = 0.0;
-  double maxSubproblemSeconds = 0.0;  // critical path under parallelism
+  /// Critical path under parallelism: each round's slowest solve, summed
+  /// over rounds.
+  double maxSubproblemSeconds = 0.0;
   double sumSubproblemSeconds = 0.0;  // total solver work (sequential cost)
   std::size_t subproblems = 0;
   std::size_t degradedSubproblems = 0;  // solved below the MaxSMT optimum

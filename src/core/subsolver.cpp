@@ -1,6 +1,5 @@
 #include "core/subsolver.hpp"
 
-#include <chrono>
 #include <optional>
 #include <utility>
 
@@ -12,8 +11,6 @@ namespace aed {
 
 namespace {
 
-using Clock = std::chrono::steady_clock;
-
 /// User objectives are scaled by this factor so they dominate the default
 /// per-delta minimality pressure; within the user's objectives the paper's
 /// "equal weight by default" still holds.
@@ -22,18 +19,14 @@ constexpr unsigned kObjectiveWeightScale = 1000;
 /// objective; keeps patches free of gratuitous edits).
 constexpr unsigned kMinimalityWeight = 1;
 
-double secondsSince(Clock::time_point start) {
-  return std::chrono::duration<double>(Clock::now() - start).count();
-}
+}  // namespace
 
-/// Everything but the final timing: the sketch, session and encoder are
-/// locals, so the Z3 context is freed when this returns.
-void solveInto(SubResult& result, const ConfigTree& tree, const Topology& topo,
-               const PolicySet& policies,
-               const std::vector<Objective>& objectives,
-               const AedOptions& options,
-               const std::vector<std::vector<std::string>>& blockedDeltaSets,
-               const Deadline& deadline, bool injectUnknown) {
+SubResult solveSubproblem(
+    const ConfigTree& tree, const Topology& topo, const PolicySet& policies,
+    const std::vector<Objective>& objectives, const AedOptions& options,
+    const std::vector<std::vector<std::string>>& blockedDeltaSets,
+    const Deadline& deadline, bool injectUnknown) {
+  SubResult result;
   const Sketch sketch = [&] {
     const Span span("subsolver.sketch", &result.phases.sketchSeconds);
     return buildSketch(tree, topo, policies, options.sketch);
@@ -105,7 +98,7 @@ void solveInto(SubResult& result, const ConfigTree& tree, const Topology& topo,
       result.code = ErrorCode::kSolverUnknown;
       result.detail = "solver answered " + check.status;
     }
-    return;
+    return result;
   }
 
   switch (check.rung) {
@@ -140,20 +133,6 @@ void solveInto(SubResult& result, const ConfigTree& tree, const Topology& topo,
   for (const std::string& label : check.violatedObjectives) {
     if (label.rfind("min-change:", 0) != 0) result.violated.push_back(label);
   }
-}
-
-}  // namespace
-
-SubResult solveSubproblem(
-    const ConfigTree& tree, const Topology& topo, const PolicySet& policies,
-    const std::vector<Objective>& objectives, const AedOptions& options,
-    const std::vector<std::vector<std::string>>& blockedDeltaSets,
-    const Deadline& deadline, bool injectUnknown) {
-  const auto start = Clock::now();
-  SubResult result;
-  solveInto(result, tree, topo, policies, objectives, options,
-            blockedDeltaSets, deadline, injectUnknown);
-  result.seconds = secondsSince(start);  // includes the context release
   return result;
 }
 

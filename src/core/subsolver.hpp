@@ -38,7 +38,9 @@ struct SubResult {
   std::vector<std::string> satisfied;
   std::vector<std::string> violated;
   std::vector<std::string> activeDeltas;  // for blocking on repair
-  /// Whole call: context construction through context release.
+  /// Duration of synthesize()'s aed.subproblem span around the call:
+  /// context construction through context release. solveSubproblem() itself
+  /// leaves it 0.
   double seconds = 0.0;
   std::size_t deltaCount = 0;
   PhaseBreakdown phases;  // simulateSeconds stays 0: validation is per round

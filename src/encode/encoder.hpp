@@ -48,12 +48,6 @@ struct EncoderOptions {
   /// rank slots of the currently configured values, encoded with booleans,
   /// instead of a free integer delta.
   bool booleanLp = true;
-
-  /// When false, encode() builds all routing/forwarding layers for the
-  /// policies' classes but does NOT assert the policy constraints
-  /// themselves. Used for model exploration and alignment debugging (the
-  /// layers can then be queried via reachVar/dataFwdVar).
-  bool assertPolicies = true;
 };
 
 class Encoder {

@@ -35,11 +35,8 @@ struct SketchOptions {
   bool destinationScoped = false;
 
   // Which families of potential nodes to offer the solver.
-  bool allowRemoveProcess = true;
   bool allowAddAdjacency = true;
-  bool allowRemoveAdjacency = true;
   bool allowOriginationChanges = true;
-  bool allowRedistributionChanges = true;
   bool allowStaticRoutes = true;
   bool allowRouteFilterChanges = true;
   bool allowPacketFilterChanges = true;

@@ -101,6 +101,15 @@ class ObsTest : public ::testing::Test {
   }
 };
 
+/// The global registry's current sample for histogram `name` (zero count
+/// and sum if it was never registered).
+MetricsRegistry::Sample globalHistogram(const std::string& name) {
+  for (MetricsRegistry::Sample& sample : MetricsRegistry::global().snapshot()) {
+    if (sample.name == name) return sample;
+  }
+  return {};
+}
+
 std::map<std::uint64_t, TraceEvent> byId(
     const std::vector<TraceEvent>& events) {
   std::map<std::uint64_t, TraceEvent> map;
@@ -1054,9 +1063,8 @@ TEST_F(ObsTest, SnapshotContainsEveryKnownStatFamily) {
            // degradation-ladder outcome counts (mirrored even at zero)
            "smt.rung.full", "smt.rung.no_minimality", "smt.rung.hard_only",
            "smt.rung.unsat", "smt.rung.gave_up",
-           // simulation cache accounting, incl. eviction/quarantine
-           "sim.route_hits", "sim.route_misses", "sim.evictions",
-           "sim.quarantined_tables",
+           // simulation cache accounting
+           "sim.route_hits", "sim.route_misses",
            // deployment stage accounting
            "deploy.executions", "deploy.stages_committed",
            // latency histograms (§12)
@@ -1120,12 +1128,16 @@ TEST_F(ObsTest, PhaseSecondsAreTheSpanDurations) {
   // Each phase is timed once, by its span: the stats are the sums of the
   // recorded durations, not a second clock reading.
   const ConfigTree tree = parseNetworkConfig(figure1ConfigText());
+  const MetricsRegistry::Sample roundsBefore =
+      globalHistogram("aed.round_seconds");
   Tracer::enable();
   AedOptions options;
   options.workers = 2;
   const AedResult result =
       synthesize(tree, figure1AllPolicies(), {}, options);
   Tracer::disable();
+  const MetricsRegistry::Sample roundsAfter =
+      globalHistogram("aed.round_seconds");
   ASSERT_TRUE(result.success) << result.error;
   ASSERT_EQ(result.stats.repairRounds, 0u);  // every span is round 0's
 
@@ -1143,6 +1155,65 @@ TEST_F(ObsTest, PhaseSecondsAreTheSpanDurations) {
   EXPECT_NEAR(spanSeconds["subsolver.solve"], phases.solveSeconds, 1e-9);
   EXPECT_NEAR(spanSeconds["subsolver.extract"], phases.extractSeconds, 1e-9);
   EXPECT_NEAR(spanSeconds["aed.validate"], phases.simulateSeconds, 1e-9);
+
+  // Subproblem and round times come from their spans too.
+  ASSERT_GT(spanCount["aed.subproblem"], 0);
+  EXPECT_NEAR(spanSeconds["aed.subproblem"], result.stats.sumSubproblemSeconds,
+              1e-9);
+  ASSERT_GT(spanCount["aed.round"], 0);
+  EXPECT_EQ(static_cast<std::uint64_t>(spanCount["aed.round"]),
+            roundsAfter.count - roundsBefore.count);
+  EXPECT_NEAR(spanSeconds["aed.round"], roundsAfter.sum - roundsBefore.sum,
+              1e-9);
+}
+
+TEST_F(ObsTest, RepairRoundSecondsAccumulateAcrossRounds) {
+  // One forced repair round re-solves at least one group. Its round-0 solve
+  // time must stay in the stats: the summed seconds equal everything the
+  // aed.subproblem_seconds histogram saw, and the critical path adds up each
+  // round's slowest solve.
+  DcParams params;
+  params.racks = 3;
+  params.aggs = 1;
+  params.spines = 0;
+  params.blockedPairFraction = 0.0;
+  params.seed = 29;
+  GeneratedNetwork net = generateDatacenter(params);
+  const PolicySet policies = makeWithdrawnSubnetUpdate(net, "rack0");
+
+  AedOptions options;
+  options.workers = 2;
+  options.faultInjection.kind = FaultInjection::Kind::kRejectValidation;
+  options.faultInjection.rejectRounds = 1;
+  const MetricsRegistry::Sample before =
+      globalHistogram("aed.subproblem_seconds");
+  Tracer::enable();
+  const AedResult result = synthesize(net.tree, policies, {}, options);
+  Tracer::disable();
+  const MetricsRegistry::Sample after =
+      globalHistogram("aed.subproblem_seconds");
+  ASSERT_TRUE(result.success) << result.error;
+  ASSERT_EQ(result.stats.repairRounds, 1u);
+
+  EXPECT_GT(after.count - before.count, result.stats.subproblems);
+  EXPECT_NEAR(result.stats.sumSubproblemSeconds, after.sum - before.sum,
+              1e-9);
+  double reported = 0.0;
+  for (const SubproblemReport& report : result.subproblems) {
+    reported += report.seconds;
+  }
+  EXPECT_NEAR(reported, result.stats.sumSubproblemSeconds, 1e-9);
+
+  std::map<std::uint64_t, double> slowestPerRound;
+  for (const TraceEvent& event : Tracer::collect()) {
+    if (std::string("aed.subproblem") != event.name) continue;
+    double& slowest = slowestPerRound[event.parent];
+    slowest = std::max(slowest, static_cast<double>(event.durUs) * 1e-6);
+  }
+  ASSERT_EQ(slowestPerRound.size(), 2u);
+  double criticalPath = 0.0;
+  for (const auto& [round, slowest] : slowestPerRound) criticalPath += slowest;
+  EXPECT_NEAR(result.stats.maxSubproblemSeconds, criticalPath, 1e-9);
 }
 
 TEST_F(ObsTest, FailedRunsStillPopulateStatsAndMetrics) {

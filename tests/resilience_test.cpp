@@ -228,16 +228,6 @@ TEST(Resilience, GenerousBudgetSolvesNormally) {
   EXPECT_TRUE(sim.violations(policies).empty());
 }
 
-TEST(Resilience, SubproblemTimeoutKnobIsHonored) {
-  const ConfigTree tree = parseNetworkConfig(figure1ConfigText());
-  const PolicySet policies = figure1AllPolicies();
-  AedOptions options;
-  options.subproblemTimeoutMs = 60000;  // generous; must not break anything
-  const AedResult result = synthesize(tree, policies, {}, options);
-  ASSERT_TRUE(result.success) << result.error;
-  EXPECT_FALSE(result.degraded);
-}
-
 // ------------------------------------------------------------- cancellation
 
 TEST(Resilience, PreCancelledRunStopsBeforeSolving) {
