@@ -4,9 +4,9 @@
 // re-runs route convergence for every (policy, source) forwarding walk, so a
 // policy-heavy validation pays the convergence cost hundreds of times for a
 // handful of distinct destinations. The SimulationEngine converges once per
-// (destination, environment), shards the checks across a thread pool, and
-// across repair rounds invalidates only the destinations the round's patch
-// touches. Verdicts are bit-identical (asserted here and in
+// (destination, environment) and shards the checks across a thread pool; it
+// persists across repair rounds, and each re-bind to a round's tree drops
+// its cached tables. Verdicts are bit-identical (asserted here and in
 // tests/engine_test.cpp); this bench measures what that buys.
 //
 // Cases:
@@ -21,8 +21,7 @@
 //     repair rounds, validated by the persistent engine:
 //     firstSimulateSeconds / repairSimulateSeconds — validation time in
 //     round 0 and summed over the repair rounds, plus the engine's cache
-//     counters (hitRatePct, invalidatedTables, targetedInvalidations,
-//     fullInvalidations).
+//     hit rate (hitRatePct).
 //
 // Run: ./build/bench/bench_simulator
 //   (JSON for CI trend tracking: --benchmark_out=BENCH_simulator.json
@@ -149,12 +148,6 @@ void repairCase(benchmark::State& state, int routers) {
     state.counters["repairSimulateSeconds"] =
         result.stats.repair.simulateSeconds;
     state.counters["hitRatePct"] = result.stats.simulate.hitRate() * 100.0;
-    state.counters["invalidatedTables"] =
-        static_cast<double>(result.stats.simulate.invalidatedEntries);
-    state.counters["targetedInvalidations"] =
-        static_cast<double>(result.stats.simulate.targetedInvalidations);
-    state.counters["fullInvalidations"] =
-        static_cast<double>(result.stats.simulate.fullInvalidations);
   }
 }
 

@@ -68,8 +68,6 @@ bool executeDeployment(ConfigTree& tree, DeploymentPlan& plan,
   plan.error.clear();
 
   SimulationEngine engine(tree, options.workers);
-  Patch boundPatch;   // what `engine` is bound to, relative to the entry tree
-  Patch cumulative;   // committed stages, relative to the entry tree
 
   const auto abort = [&plan](DeploymentStage& stage, ErrorCode code,
                              std::string detail) {
@@ -131,10 +129,7 @@ bool executeDeployment(ConfigTree& tree, DeploymentPlan& plan,
       abort(stage, ErrorCode::kTimeout, "injected validation timeout");
       continue;
     }
-    Patch candidate = cumulative;
-    candidate.append(stage.patch);
-    engine.rebind(tree, {&boundPatch, &candidate});
-    boundPatch = candidate;
+    engine.rebind(tree);
     const PolicySet violated = engine.violations(plan.guard);
     stage.validateSeconds = secondsSince(validateStart);
     histStageValidateSeconds().record(stage.validateSeconds);
@@ -150,7 +145,6 @@ bool executeDeployment(ConfigTree& tree, DeploymentPlan& plan,
     }
 
     journal.commit();
-    cumulative = std::move(candidate);
     stage.status = StageStatus::kCommitted;
     ++plan.committedStages;
     Progress::incrDone();

@@ -259,14 +259,11 @@ DeploymentPlan planStagedRollout(const ConfigTree& base, const Patch& merged,
 
   std::vector<Unit> units = partitionUnits(merged, base);
 
-  // Greedy commit loop with simulation-checked reordering. The engine stays
-  // bound across candidates, invalidating only the destinations the
-  // differing edits can touch, so trying unit B after rejecting unit A is
-  // mostly cache hits.
+  // Greedy commit loop with simulation-checked reordering. One engine (and
+  // its worker pool) serves every candidate; each rebind() drops the cached
+  // tables, so every candidate is checked on tables converged for it.
   SimulationEngine engine(base, options.workers);
   ConfigTree current = base.clone();
-  Patch cumulative;   // committed stages, relative to base
-  Patch boundPatch;   // what `engine` is currently bound to, relative to base
 
   const auto pushStage = [&plan](Unit& unit, bool validated,
                                  std::string detail = {}) {
@@ -296,15 +293,11 @@ DeploymentPlan planStagedRollout(const ConfigTree& base, const Patch& merged,
       } catch (const AedError&) {
         continue;  // structurally inapplicable here; maybe later
       }
-      Patch candidatePatch = cumulative;
-      candidatePatch.append(unit.patch);
-      engine.rebind(candidate, {&boundPatch, &candidatePatch});
-      boundPatch = candidatePatch;
+      engine.rebind(candidate);
       if (!engine.violations(plan.guard).empty()) continue;
       if (position != 0) ++plan.reorderings;
       pushStage(unit, /*validated=*/true);
       current = std::move(candidate);
-      cumulative = std::move(candidatePatch);
       remaining.erase(it);
       progressed = true;
       break;
@@ -328,10 +321,7 @@ DeploymentPlan planStagedRollout(const ConfigTree& base, const Patch& merged,
     ++plan.candidatesTried;
     try {
       rest.patch.apply(candidate);
-      Patch candidatePatch = cumulative;
-      candidatePatch.append(rest.patch);
-      engine.rebind(candidate, {&boundPatch, &candidatePatch});
-      boundPatch = candidatePatch;
+      engine.rebind(candidate);
       validated = engine.violations(plan.guard).empty();
       if (!validated) detail = "final state regresses the guard (internal)";
     } catch (const AedError& e) {

@@ -135,12 +135,6 @@ void publishStats(const AedResult& result) {
   const SimCacheStats& sim = stats.simulate;
   metrics.add("sim.route_hits", static_cast<double>(sim.routeHits));
   metrics.add("sim.route_misses", static_cast<double>(sim.routeMisses));
-  metrics.add("sim.invalidated_entries",
-              static_cast<double>(sim.invalidatedEntries));
-  metrics.add("sim.full_invalidations",
-              static_cast<double>(sim.fullInvalidations));
-  metrics.add("sim.targeted_invalidations",
-              static_cast<double>(sim.targetedInvalidations));
   metrics.add("sim.parallel_batches",
               static_cast<double>(sim.parallelBatches));
   metrics.add("sim.parallel_tasks", static_cast<double>(sim.parallelTasks));
@@ -375,11 +369,8 @@ AedResult synthesize(const ConfigTree& tree, const PolicySet& policies,
 
   // Validation engine, persistent across repair rounds. Each round's tree is
   // a short-lived local, so the engine keeps its own copy; between rounds it
-  // is re-bound with the old and new merged patches (both relative to the
-  // seed tree), invalidating only the destinations their differing edits can
-  // affect.
+  // is re-bound to the round's tree, which drops every cached table.
   std::unique_ptr<SimulationEngine> simEngine;
-  Patch lastMerged;
 
   const std::size_t workers =
       options.workers != 0
@@ -505,7 +496,14 @@ AedResult synthesize(const ConfigTree& tree, const PolicySet& policies,
       subResults[i].seconds = seconds;
       Progress::incrDone();
     };
-    std::exception_ptr fatal;
+    // solveOne isolates expected failures itself, so anything escaping it is
+    // fatal to the run, but its classification and message are still worth
+    // keeping. Every task is collected individually (a throwing task must
+    // not abandon its in-flight siblings or skip their results) and only its
+    // exception_ptr is kept. The messages are read after the pool has joined
+    // its workers, so no worker can still be releasing an exception object
+    // while it is read.
+    std::vector<std::pair<std::size_t, std::exception_ptr>> escaped;
     if (options.perDestination && pending.size() > 1 && workers > 1) {
       ThreadPool pool(std::min(workers, pending.size()));
       std::vector<std::pair<std::size_t, std::future<void>>> futures;
@@ -513,36 +511,32 @@ AedResult synthesize(const ConfigTree& tree, const PolicySet& policies,
       for (std::size_t i : pending) {
         futures.emplace_back(i, pool.submit([&solveOne, i] { solveOne(i); }));
       }
-      // Collect every future individually: a throwing task must not abandon
-      // its in-flight siblings or skip their results. solveOne isolates
-      // expected failures itself, so anything escaping here is fatal to the
-      // run — but its classification and message are still worth keeping.
       for (auto& [i, future] : futures) {
         try {
           future.get();
-        } catch (const AedError& e) {
-          if (!fatal) fatal = std::current_exception();
-          subResults[i] =
-              failedSubResult(SubOutcome::kError, e.code(), e.what());
-        } catch (const std::exception& e) {
-          if (!fatal) fatal = std::current_exception();
-          subResults[i] = failedSubResult(SubOutcome::kError,
-                                          ErrorCode::kInternal, e.what());
+        } catch (...) {
+          escaped.emplace_back(i, std::current_exception());
         }
       }
     } else {
       for (std::size_t i : pending) {
         try {
           solveOne(i);
-        } catch (const AedError& e) {
-          if (!fatal) fatal = std::current_exception();
-          subResults[i] =
-              failedSubResult(SubOutcome::kError, e.code(), e.what());
-        } catch (const std::exception& e) {
-          if (!fatal) fatal = std::current_exception();
-          subResults[i] = failedSubResult(SubOutcome::kError,
-                                          ErrorCode::kInternal, e.what());
+        } catch (...) {
+          escaped.emplace_back(i, std::current_exception());
         }
+      }
+    }
+    std::exception_ptr fatal;
+    for (const auto& [i, error] : escaped) {
+      if (!fatal) fatal = error;
+      try {
+        std::rethrow_exception(error);
+      } catch (const AedError& e) {
+        subResults[i] = failedSubResult(SubOutcome::kError, e.code(), e.what());
+      } catch (const std::exception& e) {
+        subResults[i] = failedSubResult(SubOutcome::kError,
+                                        ErrorCode::kInternal, e.what());
       }
     }
     for (std::size_t i : pending) needsSolve[i] = false;
@@ -662,9 +656,8 @@ AedResult synthesize(const ConfigTree& tree, const PolicySet& policies,
         simEngine =
             std::make_unique<SimulationEngine>(updated, options.workers);
       } else {
-        simEngine->rebind(updated, {&lastMerged, &merged});
+        simEngine->rebind(updated);
       }
-      lastMerged = merged;
       violated = simEngine->violations(survivingPolicies);
       result.stats.simulate = simEngine->cacheStats();
     }

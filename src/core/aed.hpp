@@ -104,9 +104,9 @@ struct AedOptions {
   /// Validate candidate patches with the simulator and re-solve with the
   /// failing delta set blocked, up to this many rounds per subproblem.
   /// Validation runs on the memoized, parallel SimulationEngine, which
-  /// persists across repair rounds and invalidates only the destinations
-  /// affected by the round's merged patch. Its verdicts are bit-identical
-  /// to the serial Simulator oracle (asserted by tests and aed_check).
+  /// persists across repair rounds and drops every cached route table when
+  /// re-bound to the next round's tree. Its verdicts are bit-identical to
+  /// the serial Simulator oracle (asserted by tests and aed_check).
   bool validateWithSimulator = true;
   int maxRepairIterations = 3;
 
@@ -124,10 +124,6 @@ struct AedOptions {
   /// across queued subproblems and wired to Z3's timeout parameter.
   /// 0 = unlimited.
   std::uint64_t timeBudgetMs = 0;
-  /// Anytime mode: on timeout/unknown fall through the degradation ladder
-  /// (drop minimality softs, then hard-constraints-only SAT) instead of
-  /// failing the subproblem outright.
-  bool anytime = true;
   /// Cooperative cancellation: when set and triggered, the engine stops
   /// between subproblems and repair iterations and reports kCancelled.
   CancelTokenPtr cancel;

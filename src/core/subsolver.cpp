@@ -36,7 +36,6 @@ SubResult solveSubproblem(
   // Declared after the sketch and before the encoder, which references
   // both: the encoder is destroyed first.
   SmtSession session;
-  session.setAnytime(options.anytime);
   if (options.randomPhaseSeed != 0) {
     session.randomizePhase(options.randomPhaseSeed);
   }

@@ -54,10 +54,10 @@ struct SubResult {
 
 /// Solves the subproblem `policies` over `tree`/`topo` under every delta
 /// combination in `blockedDeltaSets` (names of other subproblems' deltas are
-/// ignored). `options` supplies defaultMinimality, anytime, randomPhaseSeed
-/// and the sketch and encoder options. `injectUnknown` forces the full
-/// MaxSMT verdict to "unknown" (deterministic fault injection). The Z3
-/// context is released before the call returns, on the calling thread.
+/// ignored). `options` supplies defaultMinimality, randomPhaseSeed and the
+/// sketch and encoder options. `injectUnknown` forces the full MaxSMT
+/// verdict to "unknown" (deterministic fault injection). The Z3 context is
+/// released before the call returns, on the calling thread.
 SubResult solveSubproblem(
     const ConfigTree& tree, const Topology& topo, const PolicySet& policies,
     const std::vector<Objective>& objectives, const AedOptions& options,

@@ -1,4 +1,4 @@
-// Memoized, parallel, incrementally-invalidated simulation engine.
+// Memoized, parallel simulation engine.
 //
 // The concrete simulator (simulate/simulator.hpp) is AED's ground-truth
 // oracle: every synthesized patch is validated against it each repair round,
@@ -21,15 +21,15 @@
 //  2. **Memoization.** Converged route tables are cached keyed by
 //     (destination prefix, canonicalized Environment). N policies over the
 //     same destination pay one convergence instead of N×sources.
-//  3. **Parallelism + incrementality.** violations() and
-//     inferReachabilityPolicies() shard work across destination classes on
-//     an aed::ThreadPool (per-destination tables are independent, so the
-//     cache is sharded by destination and a task normally owns its shard
-//     exclusively — a per-shard mutex covers the rare cross-shard reads of
-//     isolation policies). rebind() re-binds the engine to an updated tree
-//     and invalidates only the destinations whose routes can be affected by
-//     the given patches (edits are attributed to prefixes; unattributable
-//     edits fall back to full invalidation).
+//  3. **Parallelism.** violations() and inferReachabilityPolicies() shard
+//     work across destination classes on an aed::ThreadPool
+//     (per-destination tables are independent, so the cache is sharded by
+//     destination and a task normally owns its shard exclusively — a
+//     per-shard mutex covers the rare cross-shard reads of isolation
+//     policies).
+//
+// rebind() re-binds the engine to an updated tree and drops every cached
+// table, so no table can outlive the configuration it was converged on.
 //
 // The engine owns a deep copy of the bound tree, so it can outlive the
 // caller's ConfigTree — this is what lets it persist across repair rounds in
@@ -44,7 +44,6 @@
 #include <string>
 #include <vector>
 
-#include "conftree/patch.hpp"
 #include "conftree/tree.hpp"
 #include "policy/policy.hpp"
 #include "simulate/simulator.hpp"
@@ -60,9 +59,6 @@ class ThreadPool;
 struct SimCacheStats {
   std::size_t routeHits = 0;        // route-table lookups served from cache
   std::size_t routeMisses = 0;      // lookups that ran a fresh convergence
-  std::size_t invalidatedEntries = 0;  // cached tables dropped by rebind()
-  std::size_t fullInvalidations = 0;   // rebinds that wiped the whole cache
-  std::size_t targetedInvalidations = 0;  // rebinds attributed to prefixes
   std::size_t parallelBatches = 0;  // violations()/infer() calls that fanned out
   std::size_t parallelTasks = 0;    // destination-shard tasks submitted
 
@@ -77,7 +73,7 @@ class SimulationEngine {
   /// Binds to a deep copy of `tree`. `workers` sizes the internal thread
   /// pool (0 = hardware concurrency); the pool is created lazily on the
   /// first call that fans out. The route-table memo cache is unbounded:
-  /// every table lives until a rebind() invalidates it.
+  /// every table lives until the next rebind() drops it.
   explicit SimulationEngine(const ConfigTree& tree, std::size_t workers = 0);
   ~SimulationEngine();
 
@@ -86,16 +82,6 @@ class SimulationEngine {
 
   /// Re-binds to `tree`, dropping every cached route table.
   void rebind(const ConfigTree& tree);
-
-  /// Re-binds to `tree`, invalidating only destinations whose routes can be
-  /// affected by the given patches. The patches must cover every edit in
-  /// which the previously-bound tree and `tree` differ (passing the old and
-  /// new merged patch relative to a common base is the intended use; extra
-  /// edits only cost precision, never correctness). Edits that cannot be
-  /// attributed to a prefix (new adjacencies, redistributions, interface
-  /// address changes, ...) trigger a full invalidation; packet-filter edits
-  /// invalidate nothing because packet filters never influence route tables.
-  void rebind(const ConfigTree& tree, const std::vector<const Patch*>& changes);
 
   const Topology& topology() const { return topo_; }
 
@@ -188,8 +174,6 @@ class SimulationEngine {
                                                    const Environment& env) const;
   bool packetAllowed(int filter, const TrafficClass& cls) const;
   DstShard& shardFor(const Ipv4Prefix& dst) const;
-  void invalidateAll();
-  void invalidatePrefixes(const std::vector<Ipv4Prefix>& prefixes);
   ThreadPool& pool() const;
 
   ConfigTree tree_;  // owned deep copy of the bound tree
@@ -210,9 +194,6 @@ class SimulationEngine {
 
   mutable std::atomic<std::size_t> routeHits_{0};
   mutable std::atomic<std::size_t> routeMisses_{0};
-  std::atomic<std::size_t> invalidatedEntries_{0};
-  std::atomic<std::size_t> fullInvalidations_{0};
-  std::atomic<std::size_t> targetedInvalidations_{0};
   mutable std::atomic<std::size_t> parallelBatches_{0};
   mutable std::atomic<std::size_t> parallelTasks_{0};
 };

@@ -78,10 +78,6 @@ z3::expr SmtSession::freshBool(const std::string& stem) {
   return boolVar(stem + "!" + std::to_string(freshCounter_++));
 }
 
-z3::expr SmtSession::freshInt(const std::string& stem) {
-  return intVar(stem + "!" + std::to_string(freshCounter_++));
-}
-
 std::size_t SmtSession::addSoft(const z3::expr& constraint, unsigned weight,
                                 const std::string& label, SoftKind kind) {
   opt_.add_soft(constraint, weight);
@@ -160,7 +156,7 @@ SmtSession::Result SmtSession::check() {
 
   // ---- rung 1: full MaxSMT ------------------------------------------------
   z3::check_result status = z3::unknown;
-  bool budgetLeft = applyBudget(opt_);
+  const bool budgetLeft = applyBudget(opt_);
   if (injectUnknown_ > 0) {
     --injectUnknown_;
     logWarn() << "fault injection: forcing an unknown MaxSMT verdict";
@@ -216,18 +212,6 @@ SmtSession::Result SmtSession::check() {
     result.rung = SolveRung::kUnsat;
     result.rungReason = "hard constraints unsatisfiable (cross-checked "
                         "with a plain SAT solver)";
-    return result;
-  }
-
-  // The full query timed out or went unknown. Without anytime mode, report
-  // the raw verdict.
-  if (!anytime_) {
-    result.status = budgetLeft ? "unknown" : "timeout";
-    result.code =
-        budgetLeft ? ErrorCode::kSolverUnknown : ErrorCode::kTimeout;
-    result.rung = SolveRung::kGaveUp;
-    result.rungReason = std::string("full MaxSMT ") + result.status +
-                        "; degradation ladder disabled";
     return result;
   }
 

@@ -15,8 +15,8 @@
 // live one, so the session is freed on the worker that solved it.
 //
 // Resilience: a session can be given a wall-clock Deadline (wired to Z3's
-// `timeout` parameter) and, in anytime mode, check() falls back through a
-// degradation ladder when the full MaxSMT query times out or goes unknown:
+// `timeout` parameter), and check() always falls back through a degradation
+// ladder when the full MaxSMT query times out or goes unknown:
 //   1. full MaxSMT (user objectives + minimality softs)  → SolveRung::kFull
 //   2. MaxSMT with the minimality softs dropped          → kNoMinimality
 //   3. plain SAT over the hard constraints only          → kHardOnly
@@ -49,9 +49,6 @@ class SmtSession {
   SmtSession(const SmtSession&) = delete;
   SmtSession& operator=(const SmtSession&) = delete;
 
-  z3::context& ctx() { return ctx_; }
-  z3::optimize& solver() { return opt_; }
-
   // ---- variable factories -------------------------------------------------
 
   /// Creates (or returns the previously created) named boolean variable.
@@ -63,9 +60,8 @@ class SmtSession {
   /// Looks up a previously created variable; throws if unknown.
   z3::expr var(const std::string& name) const;
 
-  /// Fresh anonymous variables for encoder internals.
+  /// Fresh anonymous boolean variable for encoder internals.
   z3::expr freshBool(const std::string& stem);
-  z3::expr freshInt(const std::string& stem);
 
   // ---- constants ----------------------------------------------------------
 
@@ -89,13 +85,6 @@ class SmtSession {
                       const std::string& label,
                       SoftKind kind = SoftKind::kUser);
 
-  struct SoftInfo {
-    std::string label;
-    unsigned weight = 1;
-    SoftKind kind = SoftKind::kUser;
-  };
-  const std::vector<SoftInfo>& softConstraints() const { return softInfos_; }
-
   /// Randomizes the solver's decision phase. Used by the NetComplete-like
   /// clean-slate baseline: a synthesizer that does not anchor on the current
   /// configuration picks arbitrary values for unconstrained constructs;
@@ -109,10 +98,6 @@ class SmtSession {
   /// remaining budget is passed to Z3 as its `timeout` parameter, re-read
   /// before each ladder rung). Unlimited by default.
   void setDeadline(const Deadline& deadline) { deadline_ = deadline; }
-
-  /// Enables the degradation ladder (on by default). When disabled, check()
-  /// reports the raw first-rung verdict.
-  void setAnytime(bool anytime) { anytime_ = anytime; }
 
   /// Deterministic fault injection for tests: the next `count` full MaxSMT
   /// checks report "unknown" without calling Z3, forcing check() down the
@@ -142,7 +127,7 @@ class SmtSession {
     SolverStats stats;
   };
 
-  /// Runs the MaxSMT query (with the degradation ladder in anytime mode).
+  /// Runs the MaxSMT query, falling back through the degradation ladder.
   /// On sat, the model is retained for eval calls. Re-entrant: check() may
   /// be called again after adding further constraints; each call replaces
   /// the retained model and re-reads the deadline.
@@ -157,6 +142,12 @@ class SmtSession {
   std::size_t numVars() const { return vars_.size(); }
 
  private:
+  struct SoftInfo {
+    std::string label;
+    unsigned weight = 1;
+    SoftKind kind = SoftKind::kUser;
+  };
+
   /// Applies the remaining budget as a Z3 timeout; false if already expired.
   template <typename Solver>
   bool applyBudget(Solver& solver);
@@ -176,7 +167,6 @@ class SmtSession {
   std::vector<SoftInfo> softInfos_;
   std::optional<z3::model> model_;
   Deadline deadline_;
-  bool anytime_ = true;
   int injectUnknown_ = 0;
   int freshCounter_ = 0;
 };
