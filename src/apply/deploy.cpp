@@ -1,6 +1,7 @@
 #include "apply/deploy.hpp"
 
 #include <chrono>
+#include <optional>
 #include <string>
 
 #include "conftree/journal.hpp"
@@ -67,7 +68,7 @@ bool executeDeployment(ConfigTree& tree, DeploymentPlan& plan,
   plan.code = ErrorCode::kNone;
   plan.error.clear();
 
-  SimulationEngine engine(tree, options.workers);
+  std::optional<SimulationEngine> engine;  // bound at the first validation
 
   const auto abort = [&plan](DeploymentStage& stage, ErrorCode code,
                              std::string detail) {
@@ -129,8 +130,12 @@ bool executeDeployment(ConfigTree& tree, DeploymentPlan& plan,
       abort(stage, ErrorCode::kTimeout, "injected validation timeout");
       continue;
     }
-    engine.rebind(tree);
-    const PolicySet violated = engine.violations(plan.guard);
+    if (engine) {
+      engine->rebind(tree);
+    } else {
+      engine.emplace(tree, options.workers);
+    }
+    const PolicySet violated = engine->violations(plan.guard);
     stage.validateSeconds = secondsSince(validateStart);
     histStageValidateSeconds().record(stage.validateSeconds);
     if (!violated.empty()) {

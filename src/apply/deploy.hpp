@@ -12,6 +12,10 @@
 //   - executeDeployment never throws: every failure is reported through the
 //     plan's execution summary (code / error / per-stage status + detail).
 //
+// Validation runs on one SimulationEngine, bound at the first stage that
+// reaches validation and re-bound per stage after that; it keeps no copy of
+// the tree.
+//
 // DeployFaultInjection mirrors core::FaultInjection's deployment-specific
 // kinds (this module sits below core and cannot include it); core/aed.cpp
 // translates between the two.

@@ -221,6 +221,20 @@ PolicySet minus(const PolicySet& policies, const PolicySet& violated) {
   return held;
 }
 
+/// Policies from `policies` that hold on `base` and still hold on the tree
+/// after `merged`: the transition invariant (a policy broken before the
+/// update — typically the reason the update exists — cannot be "regressed"
+/// by an intermediate state, and one broken after it is already reported by
+/// synthesis). `engine` must be bound to `base`; a non-empty patch leaves it
+/// bound to the final tree.
+PolicySet regressionGuard(SimulationEngine& engine, const ConfigTree& base,
+                          const Patch& merged, const PolicySet& policies) {
+  const PolicySet heldBefore = minus(policies, engine.violations(policies));
+  if (merged.empty()) return heldBefore;
+  engine.rebind(merged.applied(base));
+  return minus(heldBefore, engine.violations(heldBefore));
+}
+
 }  // namespace
 
 const char* stageStatusName(StageStatus status) {
@@ -233,36 +247,24 @@ const char* stageStatusName(StageStatus status) {
   return "planned";
 }
 
-PolicySet regressionGuard(const ConfigTree& base, const ConfigTree& updated,
-                          const PolicySet& policies,
-                          const DeployOptions& options) {
-  SimulationEngine engine(base, options.workers);
-  const PolicySet heldBefore = minus(policies, engine.violations(policies));
-  engine.rebind(updated);
-  return minus(heldBefore, engine.violations(heldBefore));
-}
-
 DeploymentPlan planStagedRollout(const ConfigTree& base, const Patch& merged,
                                  const PolicySet& policies,
                                  const DeployOptions& options) {
   AED_SPAN("deploy.plan");
   const auto start = Clock::now();
   DeploymentPlan plan;
+  // One engine (and its worker pool) serves the guard and every candidate;
+  // each rebind() drops the cached tables, so every candidate is checked on
+  // tables converged for it.
+  SimulationEngine engine(base, options.workers);
+  plan.guard = regressionGuard(engine, base, merged, policies);
   if (merged.empty()) {
-    plan.guard = regressionGuard(base, base, policies, options);
     plan.planSeconds = secondsSince(start);
     return plan;
   }
 
-  const ConfigTree final_ = merged.applied(base);
-  plan.guard = regressionGuard(base, final_, policies, options);
-
+  // Greedy commit loop with simulation-checked reordering.
   std::vector<Unit> units = partitionUnits(merged, base);
-
-  // Greedy commit loop with simulation-checked reordering. One engine (and
-  // its worker pool) serves every candidate; each rebind() drops the cached
-  // tables, so every candidate is checked on tables converged for it.
-  SimulationEngine engine(base, options.workers);
   ConfigTree current = base.clone();
 
   const auto pushStage = [&plan](Unit& unit, bool validated,

@@ -16,9 +16,10 @@
 //   2. Units are ordered greedily with simulation-checked reordering: at
 //      each step the first unit whose application does not regress any
 //      *guard* policy — a policy that holds both before and after the full
-//      update — is committed. Each intermediate configuration is validated
-//      through one SimulationEngine, re-bound per candidate (each rebind
-//      drops the cached route tables).
+//      update — is committed. The guard and each intermediate configuration
+//      are checked on one SimulationEngine, re-bound per candidate (each
+//      rebind drops the cached route tables; the engine keeps no copy of the
+//      tree).
 //   3. When no remaining unit is individually safe (e.g. two traffic
 //      classes swapping disjoint paths under an isolation policy), the
 //      planner falls back to a single one-shot stage that applies the rest
@@ -97,17 +98,9 @@ struct DeploymentPlan {
   std::string describe() const;
 };
 
-/// Policies from `policies` that hold on `base` and still hold on
-/// `updated`: the transition invariant (a policy broken before the update —
-/// typically the reason the update exists — cannot be "regressed" by an
-/// intermediate state, and one broken after it is already reported by
-/// synthesis).
-PolicySet regressionGuard(const ConfigTree& base, const ConfigTree& updated,
-                          const PolicySet& policies,
-                          const DeployOptions& options = {});
-
 /// Plans a staged rollout of `merged` over `base`. `policies` is the full
-/// post-update policy set (the guard is derived from it). Never throws on
+/// post-update policy set; the guard (DeploymentPlan::guard) is the subset
+/// that holds on `base` and still holds after `merged`. Never throws on
 /// unorderable inputs — it merges the units it could not order into one
 /// one-shot stage, simulation-checked like every other stage (validated is
 /// false only if that check fails or the merged patch does not apply).

@@ -64,12 +64,15 @@ int Node::intAttr(const std::string& key) const {
     throw AedError(ErrorCode::kParseError, "missing integer attribute '" +
                                                key + "' on node " + path());
   }
-  return parseInt(it->second, "attribute '" + key + "' of node " + path());
+  return intAttr(key, 0);
 }
 
 int Node::intAttr(const std::string& key, int fallback) const {
   const auto it = attrs_.find(key);
   if (it == attrs_.end()) return fallback;
+  if (const std::optional<int> value = tryParseInt(it->second)) return *value;
+  // path() walks every ancestor, so the context is built only for a value
+  // that does not parse; parseInt then throws its usual message.
   return parseInt(it->second, "attribute '" + key + "' of node " + path());
 }
 

@@ -3,7 +3,8 @@
 #include <algorithm>
 #include <chrono>
 #include <exception>
-#include <memory>
+#include <functional>
+#include <optional>
 #include <set>
 #include <thread>
 
@@ -22,12 +23,6 @@
 namespace aed {
 
 namespace {
-
-using Clock = std::chrono::steady_clock;
-
-double secondsSince(Clock::time_point start) {
-  return std::chrono::duration<double>(Clock::now() - start).count();
-}
 
 /// Did the subproblem yield a usable (hard-constraint-satisfying) patch?
 bool usable(const SubResult& sub) {
@@ -110,8 +105,8 @@ void publishPhase(MetricsRegistry& metrics, const std::string& prefix,
 }
 
 /// Mirrors the finished run's AedStats (and the absorbed SimCacheStats) into
-/// the registry. Called exactly once per synthesize() exit — success, failed,
-/// cancelled, or unwinding — from the coordinating thread, after every worker
+/// the registry. Called exactly once per synthesize() call — success, failed,
+/// cancelled, or thrown — from the coordinating thread, after every worker
 /// has been joined: workers only ever report through their own SubResult
 /// slot, so the merge here cannot race (see DESIGN.md §10).
 void publishStats(const AedResult& result) {
@@ -224,15 +219,65 @@ Patch mergePatches(const std::vector<Patch>& patches) {
   return merged;
 }
 
-AedResult synthesize(const ConfigTree& tree, const PolicySet& policies,
-                     const std::vector<Objective>& objectives,
-                     const AedOptions& options) {
-  const auto start = Clock::now();
-  Span runSpan("aed.synthesize");
-  AedResult result;
-  result.updated = tree.clone();
+namespace {
 
-  Topology topo = Topology::fromConfigs(tree);
+/// Aggregates the reports and each group's last solve into the run's stats
+/// and objective lists, publishes them and, for a non-clean exit, leaves a
+/// flight dump. synthesize() calls it once, on every exit, so failed and
+/// thrown runs are just as attributable as successful ones.
+void finalize(AedResult& result, const std::vector<SubResult>& subResults) {
+  for (const SubproblemReport& report : result.subproblems) {
+    if (report.outcome == SubOutcome::kDegraded) {
+      ++result.stats.degradedSubproblems;
+    } else if (report.outcome != SubOutcome::kOk) {
+      ++result.stats.failedSubproblems;
+    }
+    if (report.outcome != SubOutcome::kOk) result.degraded = true;
+  }
+  std::set<std::string> violatedLabels;
+  for (const SubResult& sub : subResults) {
+    violatedLabels.insert(sub.violated.begin(), sub.violated.end());
+    result.stats.deltaCount += sub.deltaCount;
+  }
+  std::set<std::string> satisfiedLabels;
+  for (const SubResult& sub : subResults) {
+    for (const std::string& label : sub.satisfied) {
+      if (violatedLabels.count(label) == 0) satisfiedLabels.insert(label);
+    }
+  }
+  result.satisfiedObjectives.assign(satisfiedLabels.begin(),
+                                    satisfiedLabels.end());
+  result.violatedObjectives.assign(violatedLabels.begin(),
+                                   violatedLabels.end());
+  publishStats(result);
+  Progress::setPhase(result.success ? (result.degraded ? "degraded" : "done")
+                                    : "failed");
+
+  // Post-mortem (§12): any non-clean exit — failed, thrown, cancelled, or
+  // degraded — leaves a flight dump when a dump destination is configured.
+  if (!result.success || result.degraded) {
+    FlightRecorder::DumpContext dump;
+    dump.reason = result.success ? "synthesize-degraded" : "synthesize-failed";
+    dump.errorCode = errorCodeName(result.errorCode);
+    dump.detail = result.error;
+    dump.sections.emplace_back("subproblems", subproblemsJson(result));
+    FlightRecorder::maybeDump(dump);
+  }
+}
+
+/// The body of synthesize(): partition, solve rounds with simulator-validated
+/// repair, then the optional staged deployment. Leaves each group's last
+/// solve in `subResults`. A failed run returns with the error set and
+/// result.success false; a deterministic error propagates.
+void synthesizeInto(const ConfigTree& tree, const PolicySet& policies,
+                    const std::vector<Objective>& objectives,
+                    const AedOptions& options, AedResult& result,
+                    std::vector<SubResult>& subResults) {
+  const auto fail = [&result](ErrorCode code, std::string message) {
+    result.error = std::move(message);
+    result.errorCode = code;
+  };
+  const Topology topo = Topology::fromConfigs(tree);
 
   const Deadline globalDeadline = options.timeBudgetMs != 0
                                       ? Deadline::after(options.timeBudgetMs)
@@ -242,135 +287,42 @@ AedResult synthesize(const ConfigTree& tree, const PolicySet& policies,
   };
 
   // ---- partition into subproblems -----------------------------------------
-  AedOptions effective = options;
+  // One report per group, updated at every round's merge. Its outcome starts
+  // as a SubResult's does, so a group that never finished a solve reports an
+  // error, not success.
   std::vector<PolicySet> groups;
-  std::vector<std::string> destinations;
+  const auto addGroup = [&](const PolicySet& set, std::string destination) {
+    SubproblemReport report;
+    report.index = groups.size();
+    report.destination = std::move(destination);
+    report.policyCount = set.size();
+    report.outcome = SubResult().outcome;
+    result.subproblems.push_back(std::move(report));
+    groups.push_back(set);
+  };
   if (options.perDestination) {
     for (auto& [dst, set] : groupByDestination(policies)) {
-      groups.push_back(set);
-      destinations.push_back(dst.str());
+      addGroup(set, dst.str());
     }
-    // Confine each subproblem to destination-local changes so parallel
-    // solutions cannot conflict (§8; see SketchOptions::destinationScoped).
-    if (groups.size() > 1) effective.sketch.destinationScoped = true;
   } else if (!policies.empty()) {
-    groups.push_back(policies);
-    destinations.push_back("*");
+    addGroup(policies, "*");
   }
+  // Confine each subproblem to destination-local changes so parallel
+  // solutions cannot conflict (§8; see buildSketch).
+  const bool destinationScoped = groups.size() > 1;
   result.stats.subproblems = groups.size();
+  subResults.resize(groups.size());
   Progress::setPhase("solve");
   Progress::setRound(0);
   Progress::setWork(groups.size());
-
-  std::vector<SubResult> subResults(groups.size());
-  // Solve seconds and solver effort per group, accumulated across repair
-  // rounds on the coordinating thread (subResults only keeps the last
-  // round's solve).
-  std::vector<double> secondsTotals(groups.size(), 0.0);
-  std::vector<SolverStats> solverTotals(groups.size());
-
-  // Fills the outcome report and aggregate stats from subResults, then
-  // mirrors them into the unified metrics registry; called exactly once on
-  // every exit path (success, fail(), and — via the unwind guard below —
-  // exceptions), so failed and thrown runs are just as attributable as
-  // successful ones.
-  bool finalized = false;
-  const auto finalize = [&](AedResult& res) {
-    if (finalized) return;
-    finalized = true;
-    res.subproblems.clear();
-    std::set<std::string> violatedLabels;
-    for (std::size_t i = 0; i < groups.size(); ++i) {
-      const SubResult& sub = subResults[i];
-      SubproblemReport report;
-      report.index = i;
-      report.destination = destinations[i];
-      report.policyCount = groups[i].size();
-      report.outcome = sub.outcome;
-      report.code = sub.code;
-      report.detail = sub.detail;
-      report.seconds = secondsTotals[i];
-      report.rung = sub.rung;
-      report.rungReason = sub.rungReason;
-      report.solverStats = solverTotals[i];
-      res.subproblems.push_back(std::move(report));
-
-      if (sub.outcome == SubOutcome::kDegraded) {
-        ++res.stats.degradedSubproblems;
-      } else if (sub.outcome != SubOutcome::kOk) {
-        ++res.stats.failedSubproblems;
-      }
-      if (sub.outcome != SubOutcome::kOk) res.degraded = true;
-      for (const std::string& label : sub.violated) {
-        violatedLabels.insert(label);
-      }
-      res.stats.deltaCount += sub.deltaCount;
-    }
-    std::set<std::string> satisfiedLabels;
-    for (const SubResult& sub : subResults) {
-      for (const std::string& label : sub.satisfied) {
-        if (violatedLabels.count(label) == 0) satisfiedLabels.insert(label);
-      }
-    }
-    res.satisfiedObjectives.assign(satisfiedLabels.begin(),
-                                   satisfiedLabels.end());
-    res.violatedObjectives.assign(violatedLabels.begin(),
-                                  violatedLabels.end());
-    res.stats.totalSeconds = secondsSince(start);
-    publishStats(res);
-    Progress::setPhase(res.success ? (res.degraded ? "degraded" : "done")
-                                   : "failed");
-
-    // Post-mortem (§12): any non-clean exit — failed, thrown (via the unwind
-    // guard), cancelled, or degraded — leaves a flight dump behind when a
-    // dump destination is configured.
-    if (!res.success || res.degraded) {
-      FlightRecorder::DumpContext dump;
-      dump.reason = !res.success ? "synthesize-failed" : "synthesize-degraded";
-      dump.errorCode = errorCodeName(res.errorCode);
-      dump.detail = res.error;
-      dump.sections.emplace_back("subproblems", subproblemsJson(res));
-      FlightRecorder::maybeDump(dump);
-    }
-  };
-
-  const auto fail = [&](ErrorCode code,
-                        const std::string& message) -> AedResult&& {
-    result.success = false;
-    result.error = message;
-    result.errorCode = code;
-    finalize(result);
-    return std::move(result);
-  };
-
-  // Deterministic AedErrors still propagate to the caller (the resilience
-  // contract), but the run must stay attributable: when an exception unwinds
-  // past this frame, finalize the stats collected so far — totalSeconds, the
-  // per-subproblem outcomes, the merged phase timings — into the metrics
-  // registry before the result is lost. Spans close by themselves (RAII).
-  const auto onUnwind = [&] {
-    result.success = false;
-    if (result.errorCode == ErrorCode::kNone) {
-      result.errorCode = ErrorCode::kInternal;
-    }
-    finalize(result);
-  };
-  struct UnwindGuard {
-    const decltype(onUnwind)& fn;
-    int depth = std::uncaught_exceptions();
-    ~UnwindGuard() {
-      if (std::uncaught_exceptions() > depth) fn();
-    }
-  } unwindGuard{onUnwind};
 
   // ---- solve (with simulator-validated repair rounds) ---------------------
   std::vector<std::vector<std::string>> blocked;  // shared across rounds
   std::vector<bool> needsSolve(groups.size(), true);
 
-  // Validation engine, persistent across repair rounds. Each round's tree is
-  // a short-lived local, so the engine keeps its own copy; between rounds it
-  // is re-bound to the round's tree, which drops every cached table.
-  std::unique_ptr<SimulationEngine> simEngine;
+  // Validation engine, persistent across repair rounds; each round re-binds
+  // it to that round's tree, which drops every cached table.
+  std::optional<SimulationEngine> simEngine;
 
   const std::size_t workers =
       options.workers != 0
@@ -378,7 +330,6 @@ AedResult synthesize(const ConfigTree& tree, const PolicySet& policies,
           : std::max<std::size_t>(1, std::thread::hardware_concurrency());
 
   for (int round = 0; round <= options.maxRepairIterations; ++round) {
-    // Solve all pending subproblems (in parallel when enabled).
     std::vector<std::size_t> pending;
     for (std::size_t i = 0; i < groups.size(); ++i) {
       if (needsSolve[i]) pending.push_back(i);
@@ -388,7 +339,7 @@ AedResult synthesize(const ConfigTree& tree, const PolicySet& policies,
     // The round's duration (solve + validate) is the aed.round span's own.
     // The guard is declared before the span, so it is destroyed after it and
     // records the stored duration however the iteration exits (success
-    // break, fail return, or rethrow).
+    // break, failed return, or rethrow).
     double roundSeconds = 0.0;
     struct RoundHistogram {
       const double& seconds;
@@ -404,27 +355,21 @@ AedResult synthesize(const ConfigTree& tree, const PolicySet& policies,
     Progress::setWork(pending.size());
 
     // Split the remaining global budget across the queued subproblems: each
-    // of the ceil(pending/workers) sequential batches gets an equal share.
+    // of the ceil(pending/lanes) sequential batches gets an equal share.
+    const std::size_t lanes = std::min(workers, pending.size());
     std::uint64_t perSubproblemMs = Deadline::kForeverMs;
     if (!globalDeadline.isUnlimited()) {
-      const std::size_t lanes = std::min<std::size_t>(
-          std::max<std::size_t>(1, workers), pending.size());
       const std::size_t batches = (pending.size() + lanes - 1) / lanes;
-      perSubproblemMs =
-          std::max<std::uint64_t>(1, globalDeadline.remainingMillis() /
-                                         std::max<std::size_t>(1, batches));
+      perSubproblemMs = std::max<std::uint64_t>(
+          1, globalDeadline.remainingMillis() / batches);
     }
 
-    // Workers write only their own subResults slot; needsSolve (bit-packed
-    // vector<bool>) is updated on this thread afterwards.
-    //
-    // Failure classification: infrastructure failures (timeouts, solver
-    // exceptions, fault injection, cancellation) are recorded in the
-    // subproblem's slot so one poisoned destination never discards sibling
-    // work. Deterministic input/internal AedErrors (malformed policies,
-    // invariant violations) still propagate to the caller — but only after
-    // every in-flight sibling has been collected, so nothing leaks or races
-    // shared state during unwinding.
+    // Workers write only their own subResults slot, and classify a failure
+    // there, once. Infrastructure failures (timeouts, solver exceptions,
+    // fault injection, cancellation) are isolated, so one poisoned
+    // destination never discards sibling work. Deterministic AedErrors
+    // (malformed input, invariant violations) are recorded too, then
+    // rethrown to fail the run once every sibling has been collected.
     const auto isolatable = [](ErrorCode code) {
       return code == ErrorCode::kSubproblemFailed ||
              code == ErrorCode::kTimeout ||
@@ -435,6 +380,8 @@ AedResult synthesize(const ConfigTree& tree, const PolicySet& policies,
       // Set by the aed.subproblem span on close; stays 0 for a subproblem
       // that never reaches solveSubproblem (cancelled, injected throw).
       double seconds = 0.0;
+      const std::string& dst = result.subproblems[i].destination;
+      std::exception_ptr fatal;
       try {
         const FaultInjection& fault = options.faultInjection;
         const bool injected =
@@ -460,19 +407,20 @@ AedResult synthesize(const ConfigTree& tree, const PolicySet& policies,
         if (!globalDeadline.isUnlimited()) {
           deadline = Deadline::after(perSubproblemMs).min(globalDeadline);
         }
-        // Runs on a pool worker in parallel mode: the worker installed the
-        // submitting thread's span context, so this span parents under the
-        // round span regardless of which thread executes it. solveSubproblem
-        // builds, solves and frees its own Z3 context, so the span — and
-        // with it SubResult::seconds — covers the context's release too.
+        // Runs on a pool worker: the worker installed the submitting
+        // thread's span context, so this span parents under the round span
+        // regardless of which thread executes it. solveSubproblem builds,
+        // solves and frees its own Z3 context, so the span — and with it
+        // SubResult::seconds — covers the context's release too.
         Span span("aed.subproblem", &seconds);
-        if (span.active()) span.setDetail("dst=" + destinations[i]);
+        if (span.active()) span.setDetail("dst=" + dst);
         subResults[i] = solveSubproblem(
-            tree, topo, groups[i], objectives, effective, blocked, deadline,
+            tree, topo, groups[i], destinationScoped, objectives, options,
+            blocked, deadline,
             injected && fault.kind == FaultInjection::Kind::kUnknown);
         if (span.active()) {
           const SubResult& sub = subResults[i];
-          span.setDetail("dst=" + destinations[i] +
+          span.setDetail("dst=" + dst +
                          " vars=" + std::to_string(sub.solverStats.vars) +
                          " assertions=" +
                          std::to_string(sub.solverStats.assertions) +
@@ -481,13 +429,13 @@ AedResult synthesize(const ConfigTree& tree, const PolicySet& policies,
                          " rung=" + solveRungName(sub.rung));
         }
       } catch (const AedError& e) {
-        if (!isolatable(e.code())) throw;  // deterministic: fail the run
         const SubOutcome outcome = e.code() == ErrorCode::kTimeout
                                        ? SubOutcome::kTimedOut
                                    : e.code() == ErrorCode::kCancelled
                                        ? SubOutcome::kCancelled
                                        : SubOutcome::kError;
         subResults[i] = failedSubResult(outcome, e.code(), e.what());
+        if (!isolatable(e.code())) fatal = std::current_exception();
       } catch (const std::exception& e) {
         // Covers z3::exception: solver infrastructure trouble, isolated.
         subResults[i] = failedSubResult(
@@ -495,63 +443,40 @@ AedResult synthesize(const ConfigTree& tree, const PolicySet& policies,
       }
       subResults[i].seconds = seconds;
       Progress::incrDone();
+      if (fatal) std::rethrow_exception(fatal);
     };
-    // solveOne isolates expected failures itself, so anything escaping it is
-    // fatal to the run, but its classification and message are still worth
-    // keeping. Every task is collected individually (a throwing task must
-    // not abandon its in-flight siblings or skip their results) and only its
-    // exception_ptr is kept. The messages are read after the pool has joined
-    // its workers, so no worker can still be releasing an exception object
-    // while it is read.
-    std::vector<std::pair<std::size_t, std::exception_ptr>> escaped;
-    if (options.perDestination && pending.size() > 1 && workers > 1) {
-      ThreadPool pool(std::min(workers, pending.size()));
-      std::vector<std::pair<std::size_t, std::future<void>>> futures;
-      futures.reserve(pending.size());
-      for (std::size_t i : pending) {
-        futures.emplace_back(i, pool.submit([&solveOne, i] { solveOne(i); }));
-      }
-      for (auto& [i, future] : futures) {
-        try {
-          future.get();
-        } catch (...) {
-          escaped.emplace_back(i, std::current_exception());
-        }
-      }
-    } else {
-      for (std::size_t i : pending) {
-        try {
-          solveOne(i);
-        } catch (...) {
-          escaped.emplace_back(i, std::current_exception());
-        }
-      }
+    // One pool per round, one thread per lane (a single group or one worker
+    // solves on one pool thread). runParallel collects every task, and its
+    // pool has joined its workers, before the first escaped error gets here.
+    std::vector<std::function<void()>> tasks;
+    for (std::size_t i : pending) {
+      tasks.emplace_back([&solveOne, i] { solveOne(i); });
     }
-    std::exception_ptr fatal;
-    for (const auto& [i, error] : escaped) {
-      if (!fatal) fatal = error;
-      try {
-        std::rethrow_exception(error);
-      } catch (const AedError& e) {
-        subResults[i] = failedSubResult(SubOutcome::kError, e.code(), e.what());
-      } catch (const std::exception& e) {
-        subResults[i] = failedSubResult(SubOutcome::kError,
-                                        ErrorCode::kInternal, e.what());
-      }
+    std::exception_ptr escaped;
+    try {
+      runParallel(std::move(tasks), lanes);
+    } catch (...) {
+      escaped = std::current_exception();
     }
     for (std::size_t i : pending) needsSolve[i] = false;
 
-    // Per-phase timing, split by round kind (round 0 or repair); every
-    // solve, repair rounds included, pays its own sketch + encode. Merged
-    // before the fatal rethrow below so the work the siblings completed this
-    // round stays attributable even when the run unwinds (the guard above
-    // publishes it).
+    // Merge this round's solves into the reports and the phase timing, split
+    // by round kind (round 0 or repair); every solve, repair rounds included,
+    // pays its own sketch + encode. Merged before the fatal rethrow below so
+    // the work the siblings completed this round stays attributable even
+    // when the run unwinds.
     PhaseBreakdown& phaseBucket =
         round == 0 ? result.stats.firstRound : result.stats.repair;
     double slowestSeconds = 0.0;
     for (std::size_t i : pending) {
       const SubResult& sub = subResults[i];
-      secondsTotals[i] += sub.seconds;
+      SubproblemReport& report = result.subproblems[i];
+      report.outcome = sub.outcome;
+      report.code = sub.code;
+      report.detail = sub.detail;
+      report.rung = sub.rung;
+      report.rungReason = sub.rungReason;
+      report.seconds += sub.seconds;
       slowestSeconds = std::max(slowestSeconds, sub.seconds);
       result.stats.sumSubproblemSeconds += sub.seconds;
       phaseBucket.sketchSeconds += sub.phases.sketchSeconds;
@@ -568,24 +493,25 @@ AedResult synthesize(const ConfigTree& tree, const PolicySet& policies,
         histDecisions().record(
             static_cast<double>(sub.solverStats.decisions));
         ++result.stats.rungCounts[static_cast<std::size_t>(sub.rung)];
-        solverTotals[i].accumulate(sub.solverStats);
+        report.solverStats.accumulate(sub.solverStats);
       }
     }
     // Rounds run one after another, so the critical path adds up each
     // round's slowest solve.
     result.stats.maxSubproblemSeconds += slowestSeconds;
-    if (fatal) std::rethrow_exception(fatal);
+    if (escaped) std::rethrow_exception(escaped);
 
     // Unsat is fatal for the whole run: the policies conflict (§11 "SMT
     // output for special cases"), and a partial patch would silently drop a
     // policy the operator asked for.
     for (std::size_t i = 0; i < groups.size(); ++i) {
       if (subResults[i].outcome == SubOutcome::kUnsat) {
-        return fail(ErrorCode::kUnsat,
-                    "unsatisfiable: the policies cannot all be implemented "
-                    "(subproblem " +
-                        std::to_string(i) + ", " +
-                        std::to_string(groups[i].size()) + " policies)");
+        fail(ErrorCode::kUnsat,
+             "unsatisfiable: the policies cannot all be implemented "
+             "(subproblem " +
+                 std::to_string(i) + ", " +
+                 std::to_string(groups[i].size()) + " policies)");
+        return;
       }
     }
 
@@ -605,22 +531,26 @@ AedResult synthesize(const ConfigTree& tree, const PolicySet& policies,
         return nullptr;
       };
       if (firstWith(SubOutcome::kCancelled) != nullptr) {
-        return fail(ErrorCode::kCancelled, "cancelled by the caller");
+        fail(ErrorCode::kCancelled, "cancelled by the caller");
+        return;
       }
       if (firstWith(SubOutcome::kTimedOut) != nullptr) {
-        return fail(ErrorCode::kTimeout,
-                    "time budget exhausted before any subproblem was solved");
+        fail(ErrorCode::kTimeout,
+             "time budget exhausted before any subproblem was solved");
+        return;
       }
       const SubResult* errored = firstWith(SubOutcome::kError);
-      return fail(errored != nullptr ? errored->code : ErrorCode::kInternal,
-                  "all subproblems failed" +
-                      (errored != nullptr && !errored->detail.empty()
-                           ? " (first: " + errored->detail + ")"
-                           : std::string()));
+      fail(errored != nullptr ? errored->code : ErrorCode::kInternal,
+           "all subproblems failed" +
+               (errored != nullptr && !errored->detail.empty()
+                    ? " (first: " + errored->detail + ")"
+                    : std::string()));
+      return;
     }
     for (std::size_t i = 0; i < groups.size(); ++i) {
       if (!usable(subResults[i])) {
-        logWarn() << "subproblem " << i << " (" << destinations[i]
+        logWarn() << "subproblem " << i << " ("
+                  << result.subproblems[i].destination
                   << ") failed: " << subOutcomeName(subResults[i].outcome)
                   << (subResults[i].detail.empty()
                           ? ""
@@ -652,11 +582,10 @@ AedResult synthesize(const ConfigTree& tree, const PolicySet& policies,
     {
       const Span span("aed.validate", &simulateSeconds);
       Progress::setPhase("validate");
-      if (simEngine == nullptr) {
-        simEngine =
-            std::make_unique<SimulationEngine>(updated, options.workers);
-      } else {
+      if (simEngine) {
         simEngine->rebind(updated);
+      } else {
+        simEngine.emplace(updated, options.workers);
       }
       violated = simEngine->violations(survivingPolicies);
       result.stats.simulate = simEngine->cacheStats();
@@ -693,20 +622,23 @@ AedResult synthesize(const ConfigTree& tree, const PolicySet& policies,
     }
     ++result.stats.repairRounds;
     if (round == options.maxRepairIterations) {
-      return fail(ErrorCode::kValidationFailed,
-                  "validation failed after repair rounds: " +
-                      std::to_string(violated.size()) +
-                      " policies still violated (first: " + violated[0].str() +
-                      ")");
+      fail(ErrorCode::kValidationFailed,
+           "validation failed after repair rounds: " +
+               std::to_string(violated.size()) +
+               " policies still violated (first: " + violated[0].str() +
+               ")");
+      return;
     }
     if (cancelled()) {
-      return fail(ErrorCode::kCancelled, "cancelled during repair");
+      fail(ErrorCode::kCancelled, "cancelled during repair");
+      return;
     }
     if (globalDeadline.expired()) {
-      return fail(ErrorCode::kTimeout,
-                  "time budget exhausted during repair: " +
-                      std::to_string(violated.size()) +
-                      " policies still violated");
+      fail(ErrorCode::kTimeout,
+           "time budget exhausted during repair: " +
+               std::to_string(violated.size()) +
+               " policies still violated");
+      return;
     }
     // Block the delta sets of the subproblems owning the violated policies
     // and re-solve just those.
@@ -746,9 +678,10 @@ AedResult synthesize(const ConfigTree& tree, const PolicySet& policies,
         }
       }
       if (!blamed) {
-        return fail(ErrorCode::kInternal,
-                    "model/simulator divergence with an empty patch for " +
-                        policy.str());
+        fail(ErrorCode::kInternal,
+             "model/simulator divergence with an empty patch for " +
+                 policy.str());
+        return;
       }
     }
   }
@@ -786,9 +719,35 @@ AedResult synthesize(const ConfigTree& tree, const PolicySet& policies,
     }
   }
 
-  // ---- aggregate stats and objective reports -------------------------------
-  result.success = true;  // before finalize: the registry reads the flag
-  finalize(result);
+  result.success = true;
+}
+
+}  // namespace
+
+AedResult synthesize(const ConfigTree& tree, const PolicySet& policies,
+                     const std::vector<Objective>& objectives,
+                     const AedOptions& options) {
+  AedResult result;
+  result.updated = tree.clone();
+  std::vector<SubResult> subResults;
+  // The one exit: the run's wall clock is the aed.synthesize span's own
+  // duration, and the span closes before the stats are finalized, so a
+  // thrown run's flight dump holds it too. A thrown run is finalized like
+  // any other, then its error is rethrown to the caller.
+  std::exception_ptr thrown;
+  {
+    const Span runSpan("aed.synthesize", &result.stats.totalSeconds);
+    try {
+      synthesizeInto(tree, policies, objectives, options, result, subResults);
+    } catch (...) {
+      thrown = std::current_exception();
+    }
+  }
+  if (thrown && result.errorCode == ErrorCode::kNone) {
+    result.errorCode = ErrorCode::kInternal;  // success is still false
+  }
+  finalize(result, subResults);
+  if (thrown) std::rethrow_exception(thrown);
   return result;
 }
 

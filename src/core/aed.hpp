@@ -27,6 +27,10 @@
 // anytime ladder (full MaxSMT → user objectives only → hard constraints
 // only) before being reported as failed. Per-subproblem outcomes are
 // returned in AedResult::subproblems.
+//
+// Every round solves on a pool of min(workers, pending) threads. Every exit
+// (success, failure, rethrown error) fills the stats and publishes the
+// metrics once, after the aed.synthesize span that times the run closes.
 #pragma once
 
 #include <array>
@@ -149,7 +153,9 @@ enum class SubOutcome {
 /// Stable lowercase identifier, e.g. "timed_out".
 const char* subOutcomeName(SubOutcome outcome);
 
-/// One entry per subproblem (destination group), in destination order.
+/// One entry per subproblem (destination group), in destination order. It
+/// is the group's only record: created before the first round, updated at
+/// every round's merge.
 struct SubproblemReport {
   std::size_t index = 0;
   std::string destination;  // destination prefix, or "*" for monolithic
@@ -182,7 +188,7 @@ struct PhaseBreakdown {
 };
 
 struct AedStats {
-  double totalSeconds = 0.0;
+  double totalSeconds = 0.0;  // the aed.synthesize span's duration
   /// Critical path under parallelism: each round's slowest solve, summed
   /// over rounds.
   double maxSubproblemSeconds = 0.0;

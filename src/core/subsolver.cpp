@@ -23,13 +23,15 @@ constexpr unsigned kMinimalityWeight = 1;
 
 SubResult solveSubproblem(
     const ConfigTree& tree, const Topology& topo, const PolicySet& policies,
-    const std::vector<Objective>& objectives, const AedOptions& options,
+    bool destinationScoped, const std::vector<Objective>& objectives,
+    const AedOptions& options,
     const std::vector<std::vector<std::string>>& blockedDeltaSets,
     const Deadline& deadline, bool injectUnknown) {
   SubResult result;
   const Sketch sketch = [&] {
     const Span span("subsolver.sketch", &result.phases.sketchSeconds);
-    return buildSketch(tree, topo, policies, options.sketch);
+    return buildSketch(tree, topo, policies, options.sketch,
+                       destinationScoped);
   }();
   result.deltaCount = sketch.deltas().size();
 

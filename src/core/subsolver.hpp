@@ -4,8 +4,8 @@
 // solveSubproblem() builds the Sketch, an SmtSession (and therefore the
 // z3::context + z3::optimize instance) and the Encoder, asserts every
 // blocked delta set, checks, extracts the patch, and frees all of it before
-// returning. The parallel per-destination engine runs it on a pool worker,
-// so each context is also torn down on the worker that solved it, in
+// returning. synthesize() runs every call on a pool worker, so each
+// context is also torn down on the worker that solved it, in
 // parallel with its siblings' solves: at most `workers` contexts are alive
 // at once, and the teardown counts in SubResult::seconds.
 //
@@ -54,13 +54,16 @@ struct SubResult {
 
 /// Solves the subproblem `policies` over `tree`/`topo` under every delta
 /// combination in `blockedDeltaSets` (names of other subproblems' deltas are
-/// ignored). `options` supplies defaultMinimality, randomPhaseSeed and the
-/// sketch and encoder options. `injectUnknown` forces the full MaxSMT
+/// ignored). `destinationScoped` confines the sketch to this subproblem's
+/// destinations (see buildSketch); synthesize() sets it whenever there is
+/// more than one subproblem. `options` supplies defaultMinimality,
+/// randomPhaseSeed and the sketch and encoder options. `injectUnknown` forces the full MaxSMT
 /// verdict to "unknown" (deterministic fault injection). The Z3 context is
 /// released before the call returns, on the calling thread.
 SubResult solveSubproblem(
     const ConfigTree& tree, const Topology& topo, const PolicySet& policies,
-    const std::vector<Objective>& objectives, const AedOptions& options,
+    bool destinationScoped, const std::vector<Objective>& objectives,
+    const AedOptions& options,
     const std::vector<std::vector<std::string>>& blockedDeltaSets,
     const Deadline& deadline, bool injectUnknown = false);
 

@@ -48,11 +48,11 @@ bool SimulationEngine::CompiledProc::originates(const Ipv4Prefix& dst) const {
 }
 
 SimulationEngine::SimulationEngine(const ConfigTree& tree, std::size_t workers)
-    : tree_(tree.clone()), workers_(workers) {
+    : workers_(workers) {
   // Touch the shard-latency histogram so it appears in every snapshot that
   // involves an engine, even before the first fan-out records into it.
   histShardSeconds();
-  compile();
+  compile(tree);
 }
 
 SimulationEngine::~SimulationEngine() = default;
@@ -62,12 +62,11 @@ void SimulationEngine::rebind(const ConfigTree& tree) {
     const std::lock_guard<std::mutex> lock(shardsMutex_);
     shards_.clear();
   }
-  tree_ = tree.clone();
-  compile();
+  compile(tree);
 }
 
-void SimulationEngine::compile() {
-  topo_ = Topology::fromConfigs(tree_);
+void SimulationEngine::compile(const ConfigTree& tree) {
+  topo_ = Topology::fromConfigs(tree);
   routers_.clear();
   routerIndex_.clear();
   routeFilters_.clear();
@@ -78,7 +77,7 @@ void SimulationEngine::compile() {
   // Gauss-Seidel fixpoint sweep is order-sensitive, so bit-identical tables
   // require the identical sweep order.
   std::vector<const Node*> routerNodes;
-  for (const Node* node : tree_.routers()) routerNodes.push_back(node);
+  for (const Node* node : tree.routers()) routerNodes.push_back(node);
   std::sort(routerNodes.begin(), routerNodes.end(),
             [](const Node* a, const Node* b) { return a->name() < b->name(); });
 

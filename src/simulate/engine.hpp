@@ -31,9 +31,11 @@
 // rebind() re-binds the engine to an updated tree and drops every cached
 // table, so no table can outlive the configuration it was converged on.
 //
-// The engine owns a deep copy of the bound tree, so it can outlive the
-// caller's ConfigTree — this is what lets it persist across repair rounds in
-// core/aed.cpp, where each round's updated tree is a short-lived local.
+// The engine keeps no tree: the constructor and rebind() read the caller's
+// tree only while compiling it, so the tree may be destroyed afterwards (a
+// changed tree needs a rebind()). This is what lets one engine persist
+// across repair rounds in core/aed.cpp and across the candidates of the
+// staged-rollout planner, where each tree is a short-lived local.
 #pragma once
 
 #include <atomic>
@@ -70,17 +72,18 @@ struct SimCacheStats {
 
 class SimulationEngine {
  public:
-  /// Binds to a deep copy of `tree`. `workers` sizes the internal thread
-  /// pool (0 = hardware concurrency); the pool is created lazily on the
-  /// first call that fans out. The route-table memo cache is unbounded:
-  /// every table lives until the next rebind() drops it.
+  /// Compiles `tree`, which is read only during the call. `workers` sizes
+  /// the internal thread pool (0 = hardware concurrency); the pool is
+  /// created lazily on the first call that fans out. The route-table memo
+  /// cache is unbounded: every table lives until the next rebind() drops it.
   explicit SimulationEngine(const ConfigTree& tree, std::size_t workers = 0);
   ~SimulationEngine();
 
   SimulationEngine(const SimulationEngine&) = delete;
   SimulationEngine& operator=(const SimulationEngine&) = delete;
 
-  /// Re-binds to `tree`, dropping every cached route table.
+  /// Re-binds to `tree` (read only during the call), dropping every cached
+  /// route table.
   void rebind(const ConfigTree& tree);
 
   const Topology& topology() const { return topo_; }
@@ -166,7 +169,7 @@ class SimulationEngine {
     std::map<EnvKey, std::map<std::string, RouteEntry>> tables;
   };
 
-  void compile();
+  void compile(const ConfigTree& tree);
   std::size_t routerIndex(const std::string& name) const;  // npos if absent
   RouteEntry resolveStatic(const CompiledRouter& router, const Ipv4Prefix& dst,
                            const Environment& env) const;
@@ -176,7 +179,6 @@ class SimulationEngine {
   DstShard& shardFor(const Ipv4Prefix& dst) const;
   ThreadPool& pool() const;
 
-  ConfigTree tree_;  // owned deep copy of the bound tree
   Topology topo_;
   std::size_t workers_;
 

@@ -33,19 +33,6 @@ bool classRelevant(const Ipv4Prefix& ruleSrc, const Ipv4Prefix& ruleDst,
                      });
 }
 
-
-// destinationScoped mode: a removal/modification is only offered when its
-// effect is confined to one of the subproblem's destination classes.
-bool scopedToDestinations(const SketchOptions& options,
-                          const Ipv4Prefix& rulePrefix,
-                          const std::vector<Ipv4Prefix>& dstClasses) {
-  if (!options.destinationScoped) return true;
-  return std::any_of(dstClasses.begin(), dstClasses.end(),
-                     [&rulePrefix](const Ipv4Prefix& d) {
-                       return d.contains(rulePrefix);
-                     });
-}
-
 }  // namespace
 
 void Sketch::add(DeltaVar delta) {
@@ -89,12 +76,22 @@ SketchStats Sketch::stats() const {
 }
 
 Sketch buildSketch(const ConfigTree& tree, const Topology& topo,
-                   const PolicySet& policies, const SketchOptions& options) {
+                   const PolicySet& policies, const SketchOptions& options,
+                   bool destinationScoped) {
   Sketch sketch;
   sketch.options_ = options;
 
   const std::vector<Ipv4Prefix> dstClasses = destinationPrefixes(policies);
   const std::vector<TrafficClass> classes = trafficClasses(policies);
+  // Destination-scoped sketch: a removal/modification is only offered when
+  // its effect is confined to one of the subproblem's destination classes.
+  const auto inScope = [&](const Ipv4Prefix& rulePrefix) {
+    return !destinationScoped ||
+           std::any_of(dstClasses.begin(), dstClasses.end(),
+                       [&rulePrefix](const Ipv4Prefix& d) {
+                         return d.contains(rulePrefix);
+                       });
+  };
 
   auto routers = tree.routers();
   std::sort(routers.begin(), routers.end(),
@@ -117,7 +114,7 @@ Sketch buildSketch(const ConfigTree& tree, const Topology& topo,
             continue;
           }
           if (!options.allowStaticRoutes) continue;
-          if (!scopedToDestinations(options, *prefix, dstClasses)) continue;
+          if (!inScope(*prefix)) continue;
           DeltaVar d;
           d.name = mangle({"rm", rname, "static", "Orig", prefix->str()});
           d.kind = DeltaKind::kRemoveOrigination;
@@ -132,7 +129,7 @@ Sketch buildSketch(const ConfigTree& tree, const Topology& topo,
       }
 
       const std::string plabel = procLabel(*proc);
-      if (!options.destinationScoped) {
+      if (!destinationScoped) {
         DeltaVar d;
         d.name = mangle({"rm", rname, plabel});
         d.kind = DeltaKind::kRemoveProcess;
@@ -147,7 +144,7 @@ Sketch buildSketch(const ConfigTree& tree, const Topology& topo,
       std::set<std::string> adjacentPeers;
       for (const Node* adj : proc->childrenOfKind(NodeKind::kAdjacency)) {
         adjacentPeers.insert(adj->attr("peer"));
-        if (options.destinationScoped) continue;
+        if (destinationScoped) continue;
         DeltaVar d;
         d.name = mangle({"rm", rname, plabel, "Adj", adj->attr("peer")});
         d.kind = DeltaKind::kRemoveAdjacency;
@@ -161,7 +158,7 @@ Sketch buildSketch(const ConfigTree& tree, const Topology& topo,
       // §8 (2n+1) treatment covers "cost and metric" values). A cost change
       // affects every destination, so it is unavailable in
       // destination-scoped subproblems.
-      if (type == "ospf" && !options.destinationScoped) {
+      if (type == "ospf" && !destinationScoped) {
         for (const Node* adj : proc->childrenOfKind(NodeKind::kAdjacency)) {
           DeltaVar d;
           d.name =
@@ -207,7 +204,7 @@ Sketch buildSketch(const ConfigTree& tree, const Topology& topo,
           if (options.pruneIrrelevant && !prefixRelevant(*prefix, dstClasses)) {
             continue;
           }
-          if (!scopedToDestinations(options, *prefix, dstClasses)) continue;
+          if (!inScope(*prefix)) continue;
           DeltaVar d;
           d.name = mangle({"rm", rname, plabel, "Orig", prefix->str()});
           d.kind = DeltaKind::kRemoveOrigination;
@@ -248,7 +245,7 @@ Sketch buildSketch(const ConfigTree& tree, const Topology& topo,
       for (const Node* redist :
            proc->childrenOfKind(NodeKind::kRedistribution)) {
         redistFrom.insert(redist->attr("from"));
-        if (options.destinationScoped) continue;
+        if (destinationScoped) continue;
         DeltaVar d;
         d.name = mangle({"rm", rname, plabel, "Redist", redist->attr("from")});
         d.kind = DeltaKind::kRemoveRedistribution;
@@ -303,9 +300,7 @@ Sketch buildSketch(const ConfigTree& tree, const Topology& topo,
                 !prefixRelevant(*prefix, dstClasses)) {
               continue;
             }
-            if (!scopedToDestinations(options, *prefix, dstClasses)) {
-              continue;
-            }
+            if (!inScope(*prefix)) continue;
             const std::string stem = mangle(
                 {rname, plabel, "rFil", filter->name(), rule->attr("seq")});
             DeltaVar rm;
@@ -410,7 +405,7 @@ Sketch buildSketch(const ConfigTree& tree, const Topology& topo,
           if (options.pruneIrrelevant && !classRelevant(*src, *dst, classes)) {
             continue;
           }
-          if (!scopedToDestinations(options, *dst, dstClasses)) continue;
+          if (!inScope(*dst)) continue;
           const std::string stem =
               mangle({rname, "pFil", filter->name(), rule->attr("seq")});
           DeltaVar rm;

@@ -24,16 +24,6 @@ struct SketchOptions {
   /// traffic class.
   bool pruneIrrelevant = true;
 
-  /// Destination-scoped mode, used by the per-destination decomposition
-  /// (§8 optimization 2): only offer deltas whose effect is confined to this
-  /// subproblem's destination prefixes, so parallel subproblems cannot
-  /// conflict (the §6.2 example: repairing P3 must add a class-specific
-  /// permit rule rather than delete the broad deny rule P1 relies on).
-  /// Concretely: no process/adjacency/redistribution removals, and rule or
-  /// origination removals/flips/lp-changes only when the rule's (dst) prefix
-  /// is contained in one of the subproblem's destination classes.
-  bool destinationScoped = false;
-
   // Which families of potential nodes to offer the solver.
   bool allowAddAdjacency = true;
   bool allowOriginationChanges = true;
@@ -65,7 +55,7 @@ class Sketch {
 
  private:
   friend Sketch buildSketch(const ConfigTree&, const Topology&,
-                            const PolicySet&, const SketchOptions&);
+                            const PolicySet&, const SketchOptions&, bool);
   void add(DeltaVar delta);
 
   std::vector<DeltaVar> deltas_;
@@ -73,8 +63,18 @@ class Sketch {
   SketchOptions options_;
 };
 
+/// `destinationScoped` is set by the per-destination decomposition (§8
+/// optimization 2) whenever it splits the policies into more than one
+/// subproblem: only deltas whose effect is confined to this subproblem's
+/// destination prefixes are offered, so parallel subproblems cannot conflict
+/// (the §6.2 example: repairing P3 must add a class-specific permit rule
+/// rather than delete the broad deny rule P1 relies on). Concretely: no
+/// process/adjacency/redistribution removals and no OSPF cost changes, and
+/// rule or origination removals/flips/lp-changes only when the rule's (dst)
+/// prefix is contained in one of the subproblem's destination classes.
 Sketch buildSketch(const ConfigTree& tree, const Topology& topo,
                    const PolicySet& policies,
-                   const SketchOptions& options = {});
+                   const SketchOptions& options = {},
+                   bool destinationScoped = false);
 
 }  // namespace aed

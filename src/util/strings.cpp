@@ -59,17 +59,19 @@ bool startsWith(std::string_view text, std::string_view prefix) {
   return text.substr(0, prefix.size()) == prefix;
 }
 
-int parseInt(std::string_view text, const std::string& context) {
+std::optional<int> tryParseInt(std::string_view text) {
   int value = 0;
   const char* first = text.data();
   const char* last = text.data() + text.size();
   const auto [ptr, ec] = std::from_chars(first, last, value);
-  if (ec != std::errc() || ptr != last || text.empty()) {
-    throw AedError(ErrorCode::kParseError,
-                   "invalid integer '" + std::string(text) + "' in " +
-                       context);
-  }
+  if (ec != std::errc() || ptr != last || text.empty()) return std::nullopt;
   return value;
+}
+
+int parseInt(std::string_view text, const std::string& context) {
+  if (const std::optional<int> value = tryParseInt(text)) return *value;
+  throw AedError(ErrorCode::kParseError,
+                 "invalid integer '" + std::string(text) + "' in " + context);
 }
 
 }  // namespace aed

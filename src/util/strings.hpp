@@ -1,6 +1,7 @@
 // Small string helpers used by the config parser and objective language.
 #pragma once
 
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -24,7 +25,10 @@ std::string join(const std::vector<std::string>& parts,
 bool startsWith(std::string_view text, std::string_view prefix);
 
 /// Parses a base-10 integer (optional leading '-'), requiring the whole
-/// string to be consumed. Throws AedError(ErrorCode::kParseError) naming
+/// string to be consumed; nullopt on empty/malformed/overflowing input.
+std::optional<int> tryParseInt(std::string_view text);
+
+/// tryParseInt() that throws AedError(ErrorCode::kParseError) naming
 /// `context` on empty/malformed/overflowing input, so a bad `seq`/`lp`/
 /// `weight` value surfaces as a structured parse failure instead of an
 /// uncaught std::invalid_argument from std::stoi.

@@ -70,7 +70,9 @@ class ThreadPool {
   std::vector<std::thread> threads_;
 };
 
-/// Runs each thunk on a pool and waits for all; convenience for benches.
+/// Runs each thunk on a fresh pool of `workers` threads and waits for all
+/// (see runAll). The pool has joined its workers before the first escaped
+/// exception leaves this call. synthesize() runs each solve round this way.
 void runParallel(std::vector<std::function<void()>> tasks,
                  std::size_t workers);
 

@@ -437,8 +437,7 @@ TEST(StagedPlan, GuardExcludesPoliciesBrokenBeforeOrAfter) {
   // keeps it broken mid-rollout is not a regression).
   PolicySet policies = figure1GuardPolicies();
   policies.push_back(aed::testing::figure1P3());
-  const PolicySet guard =
-      regressionGuard(base, base.clone(), policies);
+  const PolicySet guard = planStagedRollout(base, Patch{}, policies).guard;
   EXPECT_EQ(guard.size(), policies.size() - 1);
   for (const Policy& policy : guard) {
     EXPECT_NE(policy.str(), aed::testing::figure1P3().str());

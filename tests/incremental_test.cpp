@@ -114,8 +114,9 @@ TEST(Incremental, PersistentResolveMatchesFreshSolver) {
   const RepairFixture fixture = dcRepairFixture();
   const Topology topo = Topology::fromConfigs(fixture.tree);
   const auto solve = [&](const std::vector<std::vector<std::string>>& blocked) {
-    return solveSubproblem(fixture.tree, topo, fixture.policies, {},
-                           AedOptions{}, blocked, Deadline::unlimited());
+    return solveSubproblem(fixture.tree, topo, fixture.policies,
+                           /*destinationScoped=*/false, {}, AedOptions{},
+                           blocked, Deadline::unlimited());
   };
 
   std::vector<std::vector<std::string>> blocked;

@@ -1167,6 +1167,49 @@ TEST_F(ObsTest, PhaseSecondsAreTheSpanDurations) {
               1e-9);
 }
 
+TEST_F(ObsTest, TotalSecondsIsTheSynthesizeSpan) {
+  // The run's wall clock is timed once, by its own span.
+  const ConfigTree tree = parseNetworkConfig(figure1ConfigText());
+  AedOptions options;
+  options.workers = 2;
+  Tracer::enable();
+  const AedResult result =
+      synthesize(tree, figure1AllPolicies(), {}, options);
+  Tracer::disable();
+  ASSERT_TRUE(result.success) << result.error;
+
+  const std::vector<TraceEvent> events = Tracer::collect();
+  const TraceEvent* root = findByName(events, "aed.synthesize");
+  ASSERT_NE(root, nullptr);
+  EXPECT_NEAR(result.stats.totalSeconds,
+              static_cast<double>(root->durUs) * 1e-6, 1e-9);
+}
+
+TEST_F(ObsTest, SingleGroupRunsOnThePool) {
+  // One group still solves on a pool worker: its span parents under the
+  // round span across threads, and the report's seconds are that span's.
+  const ConfigTree tree = parseNetworkConfig(figure1ConfigText());
+  AedOptions options;
+  options.perDestination = false;
+  Tracer::enable();
+  const AedResult result =
+      synthesize(tree, figure1AllPolicies(), {}, options);
+  Tracer::disable();
+  ASSERT_TRUE(result.success) << result.error;
+  ASSERT_EQ(result.subproblems.size(), 1u);
+  ASSERT_EQ(result.stats.repairRounds, 0u);
+
+  const std::vector<TraceEvent> events = Tracer::collect();
+  const TraceEvent* round = findByName(events, "aed.round");
+  const TraceEvent* subproblem = findByName(events, "aed.subproblem");
+  ASSERT_NE(round, nullptr);
+  ASSERT_NE(subproblem, nullptr);
+  EXPECT_EQ(subproblem->parent, round->id);
+  EXPECT_NE(subproblem->tid, round->tid);
+  EXPECT_NEAR(result.subproblems[0].seconds,
+              static_cast<double>(subproblem->durUs) * 1e-6, 1e-9);
+}
+
 TEST_F(ObsTest, RepairRoundSecondsAccumulateAcrossRounds) {
   // One forced repair round re-solves at least one group. Its round-0 solve
   // time must stay in the stats: the summed seconds equal everything the

@@ -7,6 +7,7 @@
 
 #include <string>
 
+#include "conftree/node.hpp"
 #include "conftree/parser.hpp"
 #include "util/error.hpp"
 
@@ -217,6 +218,33 @@ TEST(ParserRobustness, StaticProcessRules) {
                    "'network' not valid in static process", 3);
   expectParseError("hostname A\nrouter bgp 65001\n route 1.0.0.0/16 10.0.0.1\n",
                    "'route' only valid in static process", 3);
+}
+
+// ---------------------------------------------------- attribute parse errors
+
+// The parser canonicalizes `seq`, so a bad value can only come from a tree
+// edited after parsing. Node::intAttr names the node's full path; the text
+// is pinned exactly because it is built only when the parse fails.
+TEST(ParserRobustness, BadSeqAttributeMessageIsExact) {
+  ConfigTree tree = parseNetworkConfig(
+      "hostname A\npacket-filter pf seq 10 permit any any\n");
+  Node* rule = tree.byPath(
+      "Router[name=A]/PacketFilter[name=pf]/PacketFilterRule[seq=10]");
+  ASSERT_NE(rule, nullptr);
+  EXPECT_EQ(rule->intAttr("seq"), 10);
+  rule->setAttr("seq", "ten");
+  const std::string expected =
+      "invalid integer 'ten' in attribute 'seq' of node "
+      "Router[name=A]/PacketFilter[name=pf]/PacketFilterRule[seq=ten]";
+  for (const bool withFallback : {false, true}) {
+    try {
+      withFallback ? rule->intAttr("seq", 0) : rule->intAttr("seq");
+      FAIL() << "expected a parse failure";
+    } catch (const AedError& e) {
+      EXPECT_EQ(e.code(), ErrorCode::kParseError);
+      EXPECT_EQ(std::string(e.what()), expected);
+    }
+  }
 }
 
 // ------------------------------------------------------- still-accepted input

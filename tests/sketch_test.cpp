@@ -84,9 +84,8 @@ TEST_F(Figure1Sketch, PruningDropsIrrelevantRules) {
 }
 
 TEST_F(Figure1Sketch, DestinationScopedDropsBroadRemovals) {
-  SketchOptions scoped;
-  scoped.destinationScoped = true;
-  const Sketch sketch = build({aed::testing::figure1P3()}, scoped);
+  const Sketch sketch = buildSketch(tree_, topo_, {aed::testing::figure1P3()},
+                                    {}, /*destinationScoped=*/true);
   for (const DeltaVar& delta : sketch.deltas()) {
     EXPECT_NE(delta.kind, DeltaKind::kRemoveAdjacency) << delta.name;
     EXPECT_NE(delta.kind, DeltaKind::kRemoveProcess) << delta.name;
