@@ -1,6 +1,5 @@
 #include "apply/deploy.hpp"
 
-#include <chrono>
 #include <optional>
 #include <string>
 
@@ -17,12 +16,6 @@
 namespace aed {
 
 namespace {
-
-using Clock = std::chrono::steady_clock;
-
-double secondsSince(Clock::time_point start) {
-  return std::chrono::duration<double>(Clock::now() - start).count();
-}
 
 MetricsRegistry::Histogram& histStageValidateSeconds() {
   static MetricsRegistry::Histogram hist =
@@ -49,19 +42,10 @@ std::string stagesJson(const DeploymentPlan& plan) {
   return out;
 }
 
-}  // namespace
-
-bool executeDeployment(ConfigTree& tree, DeploymentPlan& plan,
-                       const DeployOptions& options,
-                       const DeployFaultInjection& fault) {
-  Span span("deploy.execute");
-  if (span.active()) {
-    span.setDetail("stages=" + std::to_string(plan.stages.size()));
-  }
-  const auto start = Clock::now();
-  // Touch the stage-validation histogram so it appears in every snapshot
-  // that involves a deployment, even when no stage reaches validation.
-  histStageValidateSeconds();
+/// The commit loop of executeDeployment(), which times it by its span.
+void executeInto(ConfigTree& tree, DeploymentPlan& plan,
+                 const DeployOptions& options,
+                 const DeployFaultInjection& fault) {
   plan.executed = true;
   plan.aborted = false;
   plan.committedStages = 0;
@@ -95,7 +79,6 @@ bool executeDeployment(ConfigTree& tree, DeploymentPlan& plan,
 
     // Apply through the journal; a fault mid-stage (injected or organic)
     // rolls back inside applyJournaled before the exception reaches us.
-    const auto applyStart = Clock::now();
     ApplyJournal journal;
     Patch::EditHook hook;
     if (fault.kind == DeployFaultInjection::Kind::kStageCommitFailure &&
@@ -109,35 +92,45 @@ bool executeDeployment(ConfigTree& tree, DeploymentPlan& plan,
         }
       };
     }
-    try {
-      stage.patch.applyJournaled(tree, journal, hook);
-    } catch (const AedError& e) {
-      stage.applySeconds = secondsSince(applyStart);
-      abort(stage, e.code() == ErrorCode::kNone ? ErrorCode::kApplyFailed
-                                                : e.code(),
-            e.what());
+    std::optional<AedError> applyError;
+    {
+      const Span applySpan("deploy.apply", &stage.applySeconds);
+      try {
+        stage.patch.applyJournaled(tree, journal, hook);
+      } catch (const AedError& e) {
+        applyError = e;
+      }
+    }
+    if (applyError) {
+      abort(stage,
+            applyError->code() == ErrorCode::kNone ? ErrorCode::kApplyFailed
+                                                   : applyError->code(),
+            applyError->what());
       continue;
     }
-    stage.applySeconds = secondsSince(applyStart);
 
     // Validate the intermediate state before committing the journal.
-    const auto validateStart = Clock::now();
-    if (fault.kind == DeployFaultInjection::Kind::kValidationTimeout &&
-        fault.stage == stage.index) {
-      stage.validateSeconds = secondsSince(validateStart);
-      histStageValidateSeconds().record(stage.validateSeconds);
+    const bool timedOut =
+        fault.kind == DeployFaultInjection::Kind::kValidationTimeout &&
+        fault.stage == stage.index;
+    PolicySet violated;
+    {
+      const Span validateSpan("deploy.validate", &stage.validateSeconds);
+      if (!timedOut) {
+        if (engine) {
+          engine->rebind(tree);
+        } else {
+          engine.emplace(tree, options.workers);
+        }
+        violated = engine->violations(plan.guard);
+      }
+    }
+    histStageValidateSeconds().record(stage.validateSeconds);
+    if (timedOut) {
       journal.rollback();
       abort(stage, ErrorCode::kTimeout, "injected validation timeout");
       continue;
     }
-    if (engine) {
-      engine->rebind(tree);
-    } else {
-      engine.emplace(tree, options.workers);
-    }
-    const PolicySet violated = engine->violations(plan.guard);
-    stage.validateSeconds = secondsSince(validateStart);
-    histStageValidateSeconds().record(stage.validateSeconds);
     if (!violated.empty()) {
       journal.rollback();
       std::string detail =
@@ -154,8 +147,23 @@ bool executeDeployment(ConfigTree& tree, DeploymentPlan& plan,
     ++plan.committedStages;
     Progress::incrDone();
   }
+}
 
-  plan.executeSeconds = secondsSince(start);
+}  // namespace
+
+bool executeDeployment(ConfigTree& tree, DeploymentPlan& plan,
+                       const DeployOptions& options,
+                       const DeployFaultInjection& fault) {
+  // Touch the stage-validation histogram so it appears in every snapshot
+  // that involves a deployment, even when no stage reaches validation.
+  histStageValidateSeconds();
+  {
+    Span span("deploy.execute", &plan.executeSeconds);
+    if (span.active()) {
+      span.setDetail("stages=" + std::to_string(plan.stages.size()));
+    }
+    executeInto(tree, plan, options, fault);
+  }
 
   // Mirror the stage outcomes into the unified registry (the per-stage
   // statuses in `plan` stay the compatibility surface). Single-threaded:

@@ -1,7 +1,6 @@
 #include "apply/plan.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <list>
 #include <map>
 #include <optional>
@@ -15,12 +14,6 @@
 namespace aed {
 
 namespace {
-
-using Clock = std::chrono::steady_clock;
-
-double secondsSince(Clock::time_point start) {
-  return std::chrono::duration<double>(Clock::now() - start).count();
-}
 
 // The router name is the first path component's name attribute:
 // Router[name=X]/... (same convention as Patch::touchedRouters).
@@ -235,33 +228,16 @@ PolicySet regressionGuard(SimulationEngine& engine, const ConfigTree& base,
   return minus(heldBefore, engine.violations(heldBefore));
 }
 
-}  // namespace
-
-const char* stageStatusName(StageStatus status) {
-  switch (status) {
-    case StageStatus::kPlanned: return "planned";
-    case StageStatus::kCommitted: return "committed";
-    case StageStatus::kRolledBack: return "rolled_back";
-    case StageStatus::kSkipped: return "skipped";
-  }
-  return "planned";
-}
-
-DeploymentPlan planStagedRollout(const ConfigTree& base, const Patch& merged,
-                                 const PolicySet& policies,
-                                 const DeployOptions& options) {
-  AED_SPAN("deploy.plan");
-  const auto start = Clock::now();
-  DeploymentPlan plan;
+/// The body of planStagedRollout(), which times it by its span.
+void planInto(DeploymentPlan& plan, const ConfigTree& base,
+              const Patch& merged, const PolicySet& policies,
+              const DeployOptions& options) {
   // One engine (and its worker pool) serves the guard and every candidate;
   // each rebind() drops the cached tables, so every candidate is checked on
   // tables converged for it.
   SimulationEngine engine(base, options.workers);
   plan.guard = regressionGuard(engine, base, merged, policies);
-  if (merged.empty()) {
-    plan.planSeconds = secondsSince(start);
-    return plan;
-  }
+  if (merged.empty()) return;
 
   // Greedy commit loop with simulation-checked reordering.
   std::vector<Unit> units = partitionUnits(merged, base);
@@ -335,8 +311,28 @@ DeploymentPlan planStagedRollout(const ConfigTree& base, const Patch& merged,
     pushStage(rest, validated, std::move(detail));
     break;
   }
+}
 
-  plan.planSeconds = secondsSince(start);
+}  // namespace
+
+const char* stageStatusName(StageStatus status) {
+  switch (status) {
+    case StageStatus::kPlanned: return "planned";
+    case StageStatus::kCommitted: return "committed";
+    case StageStatus::kRolledBack: return "rolled_back";
+    case StageStatus::kSkipped: return "skipped";
+  }
+  return "planned";
+}
+
+DeploymentPlan planStagedRollout(const ConfigTree& base, const Patch& merged,
+                                 const PolicySet& policies,
+                                 const DeployOptions& options) {
+  DeploymentPlan plan;
+  {
+    const Span span("deploy.plan", &plan.planSeconds);
+    planInto(plan, base, merged, policies, options);
+  }
   return plan;
 }
 

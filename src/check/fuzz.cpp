@@ -97,9 +97,9 @@ FuzzReport runFuzz(const FuzzOptions& options) {
     scenario.fault = options.inject;
 
     InvariantMask selected = options.invariants;
-    // The expensive second-solve invariants run on a deterministic subset
-    // of the sweep (every Nth scenario), so a given seed always gets the
-    // same treatment within a given sweep shape.
+    // The expensive invariants run on a deterministic subset of the sweep
+    // (every Nth scenario), so a given seed always gets the same treatment
+    // within a given sweep shape.
     const bool expensiveTurn =
         options.expensiveEvery != 0 && i % options.expensiveEvery == 0;
     if (!expensiveTurn) selected &= kCheapInvariants;

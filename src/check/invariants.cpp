@@ -11,8 +11,12 @@
 #include "conftree/diff.hpp"
 #include "conftree/journal.hpp"
 #include "conftree/printer.hpp"
+#include "core/subsolver.hpp"
+#include "objectives/objective.hpp"
 #include "simulate/engine.hpp"
 #include "simulate/simulator.hpp"
+#include "topology/topology.hpp"
+#include "util/deadline.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 
@@ -35,6 +39,7 @@ constexpr InvariantInfo kInvariantTable[] = {
     {Invariant::kPolicyOrder, "policy-order"},
     {Invariant::kRouterOrder, "router-order"},
     {Invariant::kWorkersEquiv, "workers-equiv"},
+    {Invariant::kInputHolds, "input-holds"},
 };
 
 std::vector<std::string> policyStrings(const PolicySet& policies) {
@@ -105,6 +110,9 @@ class Checker {
   CheckOutcome run() {
     const auto start = std::chrono::steady_clock::now();
     checkBaseSimulation();
+    if (want(Invariant::kInputHolds)) {
+      guarded(Invariant::kInputHolds, [&] { checkInputHolds(); });
+    }
     obtainPatch();
     checkPatchInvariants();
     out_.seconds =
@@ -224,6 +232,62 @@ class Checker {
                firstDifference(original, permutedByEngine));
         }
       });
+    }
+  }
+
+  /// Solves every group step 0 would answer on the MaxSMT path, partitioned
+  /// as synthesize() partitions it: the solver must prove the empty patch
+  /// optimal where the serial oracle says the group's policies hold.
+  void checkInputHolds() {
+    const AedOptions options = scenario_.options();
+    const std::vector<Objective> objectives = objectivesMinDevices();
+    if (!emptyPatchIsOptimal(objectives, options)) return;
+    std::vector<PolicySet> groups;
+    if (options.perDestination) {
+      for (auto& [dst, set] : groupByDestination(scenario_.policies)) {
+        groups.push_back(std::move(set));
+      }
+    } else if (!scenario_.policies.empty()) {
+      groups.push_back(scenario_.policies);
+    }
+    const bool destinationScoped = groups.size() > 1;
+    const Simulator serial(scenario_.tree);
+    const Topology topo = Topology::fromConfigs(scenario_.tree);
+    for (std::size_t i = 0; i < groups.size(); ++i) {
+      const bool unknownInjected =
+          scenario_.fault.kind == FaultInjection::Kind::kUnknown &&
+          scenario_.fault.subproblem >= 0 &&
+          static_cast<std::size_t>(scenario_.fault.subproblem) == i;
+      if (unknownInjected || !serial.violations(groups[i]).empty()) continue;
+      const std::string where =
+          "group " + std::to_string(i) + " (" +
+          groups[i].front().cls.dst.str() + "): ";
+      const SubResult solved =
+          solveSubproblem(scenario_.tree, topo, groups[i], destinationScoped,
+                          objectives, options, {}, Deadline::unlimited());
+      if (solved.outcome != SubOutcome::kOk ||
+          solved.rung != SolveRung::kFull) {
+        fail(Invariant::kInputHolds, "outcome",
+             where + "the MaxSMT path answered " +
+                 subOutcomeName(solved.outcome) + " at rung " +
+                 solveRungName(solved.rung) + " (" + solved.detail + ")");
+        continue;
+      }
+      if (!solved.patch.empty() || !solved.activeDeltas.empty()) {
+        fail(Invariant::kInputHolds, "non-empty",
+             where + "the MaxSMT path activated " +
+                 summarize(solved.activeDeltas));
+        continue;
+      }
+      const SubResult step0 =
+          inputHoldsSubproblem(scenario_.tree, topo, groups[i],
+                               destinationScoped, objectives, options);
+      if (!solved.violated.empty() || solved.satisfied != step0.satisfied) {
+        fail(Invariant::kInputHolds, "labels",
+             where + "satisfied " + summarize(solved.satisfied) +
+                 ", violated " + summarize(solved.violated) +
+                 "; step 0 reports " + summarize(step0.satisfied));
+      }
     }
   }
 

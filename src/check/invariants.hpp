@@ -28,6 +28,16 @@
 //                    same patch, with the same devices/lines changed, as
 //                    the run's two workers (or is unsat too): scheduling
 //                    on the thread pool never changes the answer
+//   input-holds      every destination group whose policies hold on the
+//                    input per the serial oracle, and which synthesize()
+//                    would answer by step 0 (core/subsolver.hpp), gets the
+//                    empty patch at rung kFull from the MaxSMT path too,
+//                    with every objective label satisfied and the same
+//                    labels step 0 reports: the solver, now the oracle for
+//                    that shortcut, agrees with the simulator it relies on.
+//                    Run under the min-devices objectives (NOMODIFY
+//                    //Router GROUPBY name), which step 0 admits and which
+//                    add labels to compare.
 //
 // Metamorphic invariants (input transformations that must not change
 // verdicts):
@@ -61,6 +71,7 @@ enum class Invariant : unsigned {
   kPolicyOrder = 1u << 6,
   kRouterOrder = 1u << 7,
   kWorkersEquiv = 1u << 8,
+  kInputHolds = 1u << 9,
 };
 
 using InvariantMask = unsigned;
@@ -75,16 +86,16 @@ constexpr InvariantMask kAllInvariants =
     mask(Invariant::kJournalRollback) | mask(Invariant::kStagedVsOneShot) |
     mask(Invariant::kIncrementalEquiv) | mask(Invariant::kResynthNoOp) |
     mask(Invariant::kPolicyOrder) | mask(Invariant::kRouterOrder) |
-    mask(Invariant::kWorkersEquiv);
+    mask(Invariant::kWorkersEquiv) | mask(Invariant::kInputHolds);
 
 /// Invariants costing at most one synthesis run. kIncrementalEquiv,
-/// kResynthNoOp and kWorkersEquiv each pay a second full solve; the fuzz
-/// driver runs them on a deterministic subset of seeds so smoke sweeps stay
-/// fast.
+/// kResynthNoOp and kWorkersEquiv each pay a second full solve, and
+/// kInputHolds one MaxSMT solve per holding group; the fuzz driver runs
+/// them on a deterministic subset of seeds so smoke sweeps stay fast.
 constexpr InvariantMask kCheapInvariants =
     kAllInvariants &
     ~(mask(Invariant::kIncrementalEquiv) | mask(Invariant::kResynthNoOp) |
-      mask(Invariant::kWorkersEquiv));
+      mask(Invariant::kWorkersEquiv) | mask(Invariant::kInputHolds));
 
 /// Stable kebab-case identifier, e.g. "journal-rollback".
 const char* invariantName(Invariant inv);

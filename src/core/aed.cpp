@@ -316,6 +316,32 @@ void synthesizeInto(const ConfigTree& tree, const PolicySet& policies,
   Progress::setRound(0);
   Progress::setWork(groups.size());
 
+  // ---- step 0: groups whose policies already hold on the input tree ------
+  // One sweep of the input tree marks every group none of whose policies is
+  // violated there. Under objectives the empty patch satisfies, such a group
+  // is answered without a Z3 context (core/subsolver.hpp). The engine is
+  // gone before the solves start; its time is round 0's simulate time.
+  std::vector<bool> holdsOnInput(groups.size(), false);
+  if (!groups.empty() && emptyPatchIsOptimal(objectives, options)) {
+    double inputSeconds = 0.0;
+    {
+      Span span("aed.validate", &inputSeconds);
+      if (span.active()) span.setDetail("input tree");
+      const SimulationEngine engine(tree, options.workers);
+      std::set<Ipv4Prefix> violatedDestinations;
+      for (const Policy& policy : engine.violations(policies)) {
+        violatedDestinations.insert(policy.cls.dst);
+      }
+      for (std::size_t i = 0; i < groups.size(); ++i) {
+        holdsOnInput[i] = std::none_of(
+            groups[i].begin(), groups[i].end(), [&](const Policy& policy) {
+              return violatedDestinations.count(policy.cls.dst) != 0;
+            });
+      }
+    }
+    result.stats.firstRound.simulateSeconds += inputSeconds;
+  }
+
   // ---- solve (with simulator-validated repair rounds) ---------------------
   std::vector<std::vector<std::string>> blocked;  // shared across rounds
   std::vector<bool> needsSolve(groups.size(), true);
@@ -411,13 +437,20 @@ void synthesizeInto(const ConfigTree& tree, const PolicySet& policies,
         // thread's span context, so this span parents under the round span
         // regardless of which thread executes it. solveSubproblem builds,
         // solves and frees its own Z3 context, so the span — and with it
-        // SubResult::seconds — covers the context's release too.
+        // SubResult::seconds — covers the context's release too. A group
+        // that holds on the input takes step 0 unless an injected unknown
+        // must drive its ladder.
+        const bool injectUnknown =
+            injected && fault.kind == FaultInjection::Kind::kUnknown;
         Span span("aed.subproblem", &seconds);
         if (span.active()) span.setDetail("dst=" + dst);
-        subResults[i] = solveSubproblem(
-            tree, topo, groups[i], destinationScoped, objectives, options,
-            blocked, deadline,
-            injected && fault.kind == FaultInjection::Kind::kUnknown);
+        subResults[i] =
+            holdsOnInput[i] && !injectUnknown
+                ? inputHoldsSubproblem(tree, topo, groups[i],
+                                       destinationScoped, objectives, options)
+                : solveSubproblem(tree, topo, groups[i], destinationScoped,
+                                  objectives, options, blocked, deadline,
+                                  injectUnknown);
         if (span.active()) {
           const SubResult& sub = subResults[i];
           span.setDetail("dst=" + dst +
@@ -484,16 +517,19 @@ void synthesizeInto(const ConfigTree& tree, const PolicySet& policies,
       phaseBucket.solveSeconds += sub.phases.solveSeconds;
       phaseBucket.extractSeconds += sub.phases.extractSeconds;
       // §12 introspection, merged post-join on this thread: per-solve
-      // latency/effort distributions and ladder-rung outcomes.
+      // latency distributions and ladder-rung outcomes, and the effort
+      // distributions of the solves that ran the solver (step 0 does not).
       histSubproblemSeconds().record(sub.seconds);
       if (sub.rung != SolveRung::kNone) {
+        ++result.stats.rungCounts[static_cast<std::size_t>(sub.rung)];
+        report.solverStats.accumulate(sub.solverStats);
+      }
+      if (sub.solverStats.checks != 0) {
         histCheckSeconds().record(sub.phases.solveSeconds);
         histConflicts().record(
             static_cast<double>(sub.solverStats.conflicts));
         histDecisions().record(
             static_cast<double>(sub.solverStats.decisions));
-        ++result.stats.rungCounts[static_cast<std::size_t>(sub.rung)];
-        report.solverStats.accumulate(sub.solverStats);
       }
     }
     // Rounds run one after another, so the critical path adds up each

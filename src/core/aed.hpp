@@ -13,6 +13,11 @@
 //      (one Z3 context per task)
 //   3. boolean metric encoding            — EncoderOptions::booleanLp
 //
+// Each subproblem takes the solve path of core/subsolver.hpp: a group whose
+// policies already hold on the input tree gets the empty patch, proven
+// optimal at cost 0 without a solver run (step 0); every other group is one
+// MaxSMT solve.
+//
 // Every candidate patch is validated against the concrete control-plane
 // simulator; if validation fails (the SMT model admits stable states the
 // iterative simulator does not converge to, e.g. mutual redistribution
@@ -206,8 +211,8 @@ struct AedStats {
   PhaseBreakdown repair;
 
   /// Ladder-rung outcome counts across every solve of the run (one count per
-  /// SmtSession::check call that returned; mirrored as smt.rung.* counters).
-  /// Indexed by static_cast<size_t>(SolveRung).
+  /// answered solve, a step-0 answer counting as kFull; mirrored as
+  /// smt.rung.* counters). Indexed by static_cast<size_t>(SolveRung).
   std::array<std::size_t, kSolveRungCount> rungCounts{};
 
   /// Simulation-engine cache behavior across all validation rounds (zeroed

@@ -1,5 +1,6 @@
 #include "core/subsolver.hpp"
 
+#include <algorithm>
 #include <optional>
 #include <utility>
 
@@ -19,7 +20,42 @@ constexpr unsigned kObjectiveWeightScale = 1000;
 /// objective; keeps patches free of gratuitous edits).
 constexpr unsigned kMinimalityWeight = 1;
 
+Sketch buildSubproblemSketch(const ConfigTree& tree, const Topology& topo,
+                             const PolicySet& policies, bool destinationScoped,
+                             const AedOptions& options, SubResult& result) {
+  const Span span("subsolver.sketch", &result.phases.sketchSeconds);
+  Sketch sketch =
+      buildSketch(tree, topo, policies, options.sketch, destinationScoped);
+  result.deltaCount = sketch.deltas().size();
+  return sketch;
+}
+
 }  // namespace
+
+bool emptyPatchIsOptimal(const std::vector<Objective>& objectives,
+                         const AedOptions& options) {
+  return options.defaultMinimality &&
+         std::all_of(objectives.begin(), objectives.end(),
+                     [](const Objective& objective) {
+                       return objective.restriction == Restriction::kNoModify;
+                     });
+}
+
+SubResult inputHoldsSubproblem(const ConfigTree& tree, const Topology& topo,
+                               const PolicySet& policies,
+                               bool destinationScoped,
+                               const std::vector<Objective>& objectives,
+                               const AedOptions& options) {
+  SubResult result;
+  const Sketch sketch = buildSubproblemSketch(tree, topo, policies,
+                                              destinationScoped, options,
+                                              result);
+  result.outcome = SubOutcome::kOk;
+  result.rung = SolveRung::kFull;
+  result.rungReason = kInputHoldsReason;
+  result.satisfied = objectiveLabels(sketch, objectives);
+  return result;
+}
 
 SubResult solveSubproblem(
     const ConfigTree& tree, const Topology& topo, const PolicySet& policies,
@@ -28,12 +64,9 @@ SubResult solveSubproblem(
     const std::vector<std::vector<std::string>>& blockedDeltaSets,
     const Deadline& deadline, bool injectUnknown) {
   SubResult result;
-  const Sketch sketch = [&] {
-    const Span span("subsolver.sketch", &result.phases.sketchSeconds);
-    return buildSketch(tree, topo, policies, options.sketch,
-                       destinationScoped);
-  }();
-  result.deltaCount = sketch.deltas().size();
+  const Sketch sketch = buildSubproblemSketch(tree, topo, policies,
+                                              destinationScoped, options,
+                                              result);
 
   // Declared after the sketch and before the encoder, which references
   // both: the encoder is destroyed first.

@@ -1,21 +1,35 @@
-// One MaxSMT solve of one subproblem (the whole problem, or one destination
-// group), from sketch to extracted patch, in a Z3 context of its own.
+// The solve path of one subproblem (the whole problem, or one destination
+// group), from sketch to extracted patch. It has two steps:
 //
-// solveSubproblem() builds the Sketch, an SmtSession (and therefore the
-// z3::context + z3::optimize instance) and the Encoder, asserts every
-// blocked delta set, checks, extracts the patch, and frees all of it before
-// returning. synthesize() runs every call on a pool worker, so each
-// context is also torn down on the worker that solved it, in
-// parallel with its siblings' solves: at most `workers` contexts are alive
-// at once, and the teardown counts in SubResult::seconds.
+//   step 0  input holds: synthesize() checks every policy on the input tree
+//           once, with one SimulationEngine, before round 0. A group whose
+//           policies all hold there, under objectives that the empty patch
+//           satisfies (emptyPatchIsOptimal), is answered by
+//           inputHoldsSubproblem(): its sketch is built, but no Z3 context.
+//           The empty patch satisfies every soft constraint (each NOMODIFY
+//           group and each per-delta minimality soft holds with every delta
+//           inactive), so its cost is 0 and no patch costs less.
+//   MaxSMT  every other group: solveSubproblem() builds the Sketch, an
+//           SmtSession (and therefore the z3::context + z3::optimize
+//           instance) and the Encoder, asserts every blocked delta set,
+//           checks (falling down the anytime ladder when the full check
+//           cannot answer), extracts the patch, and frees all of it before
+//           returning.
 //
-// Repair rounds call it again with the full blocked-delta list. That list
-// grows monotonically across rounds — a delta combination that failed
-// simulator validation once is invalid forever (the simulator is
-// deterministic over a fixed tree+policy set) — so every blocking clause is
-// a permanent hard constraint and a fresh solve given the whole list is
+// synthesize() runs every call on a pool worker, so each context is also
+// torn down on the worker that solved it, in parallel with its siblings'
+// solves: at most `workers` contexts are alive at once, and the teardown
+// counts in SubResult::seconds. Every round still validates the merged
+// patch, step-0 answers included, on the simulator.
+//
+// Repair rounds call solveSubproblem() again with the full blocked-delta
+// list. That list grows monotonically across rounds — a delta combination
+// that failed simulator validation once is invalid forever (the simulator
+// is deterministic over a fixed tree+policy set) — so every blocking clause
+// is a permanent hard constraint and a fresh solve given the whole list is
 // exactly the repair round's problem. Each round pays a new sketch and
-// encode; repair rounds are rare (DESIGN.md §6).
+// encode; repair rounds are rare (DESIGN.md §6). A step-0 answer activates
+// no delta, so it is never blamed and never re-solved.
 //
 // Thread-safety: each call owns its own z3::context, so concurrent calls on
 // distinct threads are safe. `tree` and `topo` are only read.
@@ -51,6 +65,29 @@ struct SubResult {
   std::string rungReason;
   SolverStats solverStats;
 };
+
+/// The rung reason of a step-0 answer (inputHoldsSubproblem).
+inline constexpr const char* kInputHoldsReason =
+    "step 0: every policy holds on the input tree, so the empty patch is "
+    "optimal at cost 0 (no solver run)";
+
+/// True when the empty patch is optimal for every group whose policies hold
+/// on the input tree: the per-delta minimality softs are on (the
+/// NetComplete baseline turns them off and keeps its random-phase solve)
+/// and every objective is NOMODIFY, so every soft constraint holds with no
+/// delta active.
+bool emptyPatchIsOptimal(const std::vector<Objective>& objectives,
+                         const AedOptions& options);
+
+/// Step 0 for a group whose policies all hold on `tree`: builds the sketch
+/// solveSubproblem() would (so deltaCount is the same) and answers kOk at
+/// rung kFull with the empty patch and every objective label satisfied,
+/// without a Z3 context. Callers check emptyPatchIsOptimal() first.
+SubResult inputHoldsSubproblem(const ConfigTree& tree, const Topology& topo,
+                               const PolicySet& policies,
+                               bool destinationScoped,
+                               const std::vector<Objective>& objectives,
+                               const AedOptions& options);
 
 /// Solves the subproblem `policies` over `tree`/`topo` under every delta
 /// combination in `blockedDeltaSets` (names of other subproblems' deltas are

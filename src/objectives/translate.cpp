@@ -1,6 +1,7 @@
 #include "objectives/translate.hpp"
 
 #include <map>
+#include <optional>
 #include <set>
 
 #include "util/error.hpp"
@@ -110,42 +111,72 @@ z3::expr equateConstraint(Encoder& encoder, const Group& group) {
   return out;
 }
 
-}  // namespace
+/// One desugared objective: its report label and, unless its XPath selected
+/// no delta, the group its soft constraint ranges over.
+struct Desugared {
+  std::string label;
+  const Objective* objective = nullptr;
+  std::optional<Group> group;
+};
 
-std::vector<std::string> addObjectives(
-    Encoder& encoder, const std::vector<Objective>& objectives) {
-  std::vector<std::string> labels;
+/// Desugars every objective over the sketch's deltas, in registration order.
+/// The one source of objective labels, for the encoder and for the solver-free
+/// step 0 alike.
+std::vector<Desugared> desugar(const Sketch& sketch,
+                               const std::vector<Objective>& objectives) {
+  std::vector<Desugared> out;
   for (const Objective& objective : objectives) {
-    const auto groups = collectGroups(encoder.sketch(), objective);
+    auto groups = collectGroups(sketch, objective);
     if (groups.empty()) {
-      // Nothing selected: the objective is vacuously satisfied; register a
-      // trivially-true soft constraint so reports stay complete.
-      const std::string label = objective.label + " [no matches]";
-      encoder.session().addSoft(encoder.session().boolVal(true),
-                                objective.weight, label);
-      labels.push_back(label);
+      // Nothing selected: the objective is vacuously satisfied.
+      out.push_back({objective.label + " [no matches]", &objective, {}});
       continue;
     }
-    for (const auto& [key, group] : groups) {
+    for (auto& [key, group] : groups) {
       std::string label = objective.label;
       if (!objective.groupBy.empty()) {
         label += " [" + objective.groupBy + "=" + key + "]";
       }
-      z3::expr constraint = encoder.session().boolVal(true);
-      switch (objective.restriction) {
+      out.push_back({std::move(label), &objective, std::move(group)});
+    }
+  }
+  return out;
+}
+
+}  // namespace
+
+std::vector<std::string> objectiveLabels(
+    const Sketch& sketch, const std::vector<Objective>& objectives) {
+  std::vector<std::string> labels;
+  for (Desugared& desugared : desugar(sketch, objectives)) {
+    labels.push_back(std::move(desugared.label));
+  }
+  return labels;
+}
+
+std::vector<std::string> addObjectives(
+    Encoder& encoder, const std::vector<Objective>& objectives) {
+  std::vector<std::string> labels;
+  for (Desugared& desugared : desugar(encoder.sketch(), objectives)) {
+    // An objective that selected nothing registers a trivially-true soft
+    // constraint so reports stay complete.
+    z3::expr constraint = encoder.session().boolVal(true);
+    if (desugared.group) {
+      switch (desugared.objective->restriction) {
         case Restriction::kNoModify:
-          constraint = noModifyConstraint(encoder, group);
+          constraint = noModifyConstraint(encoder, *desugared.group);
           break;
         case Restriction::kEliminate:
-          constraint = eliminateConstraint(encoder, group);
+          constraint = eliminateConstraint(encoder, *desugared.group);
           break;
         case Restriction::kEquate:
-          constraint = equateConstraint(encoder, group);
+          constraint = equateConstraint(encoder, *desugared.group);
           break;
       }
-      encoder.session().addSoft(constraint, objective.weight, label);
-      labels.push_back(label);
     }
+    encoder.session().addSoft(constraint, desugared.objective->weight,
+                              desugared.label);
+    labels.push_back(std::move(desugared.label));
   }
   logInfo() << "registered " << labels.size()
             << " desugared objective soft constraints";

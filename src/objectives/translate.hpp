@@ -17,9 +17,16 @@
 
 namespace aed {
 
+/// The labels of the desugared objectives over `sketch`, in the order
+/// addObjectives registers them (one per GROUPBY value; "<label> [no
+/// matches]" for an objective that selects no delta). Builds no constraint,
+/// so it needs no Z3 context.
+std::vector<std::string> objectiveLabels(
+    const Sketch& sketch, const std::vector<Objective>& objectives);
+
 /// Adds one soft constraint per desugared objective to the encoder's
-/// session. Returns the labels registered (one per desugared objective),
-/// so callers can report satisfied/violated objectives after check().
+/// session. Returns the labels registered (objectiveLabels' list), so
+/// callers can report satisfied/violated objectives after check().
 std::vector<std::string> addObjectives(Encoder& encoder,
                                        const std::vector<Objective>& objectives);
 

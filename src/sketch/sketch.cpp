@@ -79,7 +79,6 @@ Sketch buildSketch(const ConfigTree& tree, const Topology& topo,
                    const PolicySet& policies, const SketchOptions& options,
                    bool destinationScoped) {
   Sketch sketch;
-  sketch.options_ = options;
 
   const std::vector<Ipv4Prefix> dstClasses = destinationPrefixes(policies);
   const std::vector<TrafficClass> classes = trafficClasses(policies);

@@ -40,7 +40,6 @@ struct SketchStats {
 class Sketch {
  public:
   const std::vector<DeltaVar>& deltas() const { return deltas_; }
-  const SketchOptions& options() const { return options_; }
 
   /// All deltas whose nodePath lies within the subtree rooted at `path`
   /// (string-prefix match on path components).
@@ -60,7 +59,6 @@ class Sketch {
 
   std::vector<DeltaVar> deltas_;
   std::map<std::string, std::size_t> byName_;
-  SketchOptions options_;
 };
 
 /// `destinationScoped` is set by the per-destination decomposition (§8

@@ -10,9 +10,11 @@
 //
 // Constraints may be added and check() re-run any number of times; each
 // check re-runs the one z3::optimize instance. synthesize() builds one
-// session per solve (core/subsolver.hpp): a repair round re-encodes into a
-// new session with the whole blocked-delta list rather than extending a
-// live one, so the session is freed on the worker that solved it.
+// session per MaxSMT solve (core/subsolver.hpp): a repair round re-encodes
+// into a new session with the whole blocked-delta list rather than
+// extending a live one, so the session is freed on the worker that solved
+// it. A group whose policies already hold on the input tree is answered by
+// the solve path's step 0 and builds no session at all.
 //
 // Resilience: a session can be given a wall-clock Deadline (wired to Z3's
 // `timeout` parameter), and check() always falls back through a degradation

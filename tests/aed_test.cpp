@@ -1,12 +1,18 @@
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+#include <vector>
+
 #include "conftree/diff.hpp"
 #include "conftree/parser.hpp"
 #include "core/aed.hpp"
+#include "core/subsolver.hpp"
 #include "fixtures.hpp"
 #include "gen/netgen.hpp"
 #include "gen/policygen.hpp"
 #include "simulate/simulator.hpp"
+#include "topology/topology.hpp"
 
 namespace aed {
 namespace {
@@ -223,6 +229,114 @@ TEST(Aed, StatsPopulated) {
   EXPECT_GT(result.stats.maxSubproblemSeconds, 0.0);
   EXPECT_GE(result.stats.subproblems, 2u);  // two destination groups
   EXPECT_GT(result.stats.deltaCount, 0u);
+}
+
+// ---- step 0: groups whose policies already hold on the input ---------------
+
+// In Figure 1, P1 and P2 (destination 1.0.0.0/16) hold on the input tree and
+// P3 (2.0.0.0/16) does not; destination order makes 1.0.0.0/16 group 0.
+const char* const kHoldingDestination = "1.0.0.0/16";
+
+const SubproblemReport& reportFor(const AedResult& result,
+                                  const std::string& destination) {
+  for (const SubproblemReport& report : result.subproblems) {
+    if (report.destination == destination) return report;
+  }
+  throw std::runtime_error("no subproblem for " + destination);
+}
+
+TEST(Aed, HoldingGroupSkipsTheSolver) {
+  const ConfigTree tree = parseNetworkConfig(figure1ConfigText());
+  const std::vector<Objective> objectives = objectivesMinDevices();
+  const AedResult result = synthesize(tree, figure1AllPolicies(), objectives);
+  ASSERT_TRUE(result.success) << result.error;
+  const SubproblemReport& holding = reportFor(result, kHoldingDestination);
+  EXPECT_EQ(holding.outcome, SubOutcome::kOk);
+  EXPECT_EQ(holding.rung, SolveRung::kFull);
+  EXPECT_EQ(holding.rungReason, kInputHoldsReason);
+  EXPECT_EQ(holding.solverStats.checks, 0u);
+  const SubproblemReport& repaired = reportFor(result, "2.0.0.0/16");
+  EXPECT_NE(repaired.rungReason, kInputHoldsReason);
+  EXPECT_GE(repaired.solverStats.checks, 1u);
+
+  // Step 0 answers exactly what the MaxSMT path proves for the same group:
+  // the empty patch, every objective label satisfied, the same sketch.
+  const Topology topo = Topology::fromConfigs(tree);
+  const PolicySet group = {aed::testing::figure1P1(),
+                           aed::testing::figure1P2()};
+  const SubResult step0 =
+      inputHoldsSubproblem(tree, topo, group, true, objectives, {});
+  const SubResult solved = solveSubproblem(tree, topo, group, true, objectives,
+                                           {}, {}, Deadline::unlimited());
+  ASSERT_EQ(solved.outcome, SubOutcome::kOk) << solved.detail;
+  EXPECT_GE(solved.solverStats.checks, 1u);
+  EXPECT_EQ(step0.outcome, SubOutcome::kOk);
+  EXPECT_EQ(step0.rung, SolveRung::kFull);
+  EXPECT_EQ(solved.rung, SolveRung::kFull);
+  EXPECT_TRUE(step0.patch.empty());
+  EXPECT_TRUE(solved.patch.empty()) << solved.patch.describe();
+  EXPECT_TRUE(step0.activeDeltas.empty());
+  EXPECT_TRUE(solved.activeDeltas.empty());
+  EXPECT_EQ(step0.solverStats.checks, 0u);
+  EXPECT_EQ(step0.deltaCount, solved.deltaCount);
+  EXPECT_GT(step0.deltaCount, 0u);
+  EXPECT_FALSE(step0.satisfied.empty());
+  EXPECT_EQ(step0.satisfied, solved.satisfied);
+  EXPECT_TRUE(step0.violated.empty());
+  EXPECT_TRUE(solved.violated.empty());
+}
+
+// Objectives the empty patch may violate keep the MaxSMT path: an EQUATE or
+// ELIMINATE group is not proven by "every delta off".
+TEST(Aed, EquateObjectiveReachesTheSolver) {
+  const ConfigTree tree = parseNetworkConfig(figure1ConfigText());
+  const AedResult result = synthesize(tree, figure1AllPolicies(),
+                                      objectivesPreserveTemplates());
+  ASSERT_TRUE(result.success) << result.error;
+  const SubproblemReport& holding = reportFor(result, kHoldingDestination);
+  EXPECT_NE(holding.rungReason, kInputHoldsReason);
+  EXPECT_GE(holding.solverStats.checks, 1u);
+}
+
+TEST(Aed, EliminateObjectiveReachesTheSolver) {
+  const ConfigTree tree = parseNetworkConfig(figure1ConfigText());
+  const AedResult result = synthesize(tree, figure1AllPolicies(),
+                                      objectivesAvoidStaticRoutes());
+  ASSERT_TRUE(result.success) << result.error;
+  const SubproblemReport& holding = reportFor(result, kHoldingDestination);
+  EXPECT_NE(holding.rungReason, kInputHoldsReason);
+  EXPECT_GE(holding.solverStats.checks, 1u);
+}
+
+// Without the per-delta minimality softs (the NetComplete baseline) the
+// empty patch is not the unique optimum, and the baseline's random-phase
+// solve must stay what it was.
+TEST(Aed, NoMinimalityReachesTheSolver) {
+  const ConfigTree tree = parseNetworkConfig(figure1ConfigText());
+  AedOptions options;
+  options.defaultMinimality = false;
+  const AedResult result =
+      synthesize(tree, figure1AllPolicies(), {}, options);
+  ASSERT_TRUE(result.success) << result.error;
+  const SubproblemReport& holding = reportFor(result, kHoldingDestination);
+  EXPECT_NE(holding.rungReason, kInputHoldsReason);
+  EXPECT_GE(holding.solverStats.checks, 1u);
+}
+
+// An injected unknown on a holding group must still drive its ladder.
+TEST(Aed, InjectedUnknownOnAHoldingGroupReachesTheSolver) {
+  const ConfigTree tree = parseNetworkConfig(figure1ConfigText());
+  AedOptions options;
+  options.faultInjection.kind = FaultInjection::Kind::kUnknown;
+  options.faultInjection.subproblem = 0;
+  const AedResult result =
+      synthesize(tree, figure1AllPolicies(), {}, options);
+  ASSERT_TRUE(result.success) << result.error;
+  const SubproblemReport& holding = reportFor(result, kHoldingDestination);
+  ASSERT_EQ(holding.index, 0u);
+  EXPECT_EQ(holding.outcome, SubOutcome::kDegraded);
+  EXPECT_NE(holding.rung, SolveRung::kFull);
+  EXPECT_GE(holding.solverStats.checks, 1u);
 }
 
 }  // namespace

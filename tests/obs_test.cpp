@@ -34,6 +34,7 @@
 #include "apply/plan.hpp"
 #include "conftree/parser.hpp"
 #include "core/aed.hpp"
+#include "core/subsolver.hpp"
 #include "fixtures.hpp"
 #include "gen/netgen.hpp"
 #include "gen/policygen.hpp"
@@ -1011,13 +1012,26 @@ TEST_F(ObsTest, SolverStatsSurfaceInSubproblemReports) {
   EXPECT_EQ(result.stats.rungCounts[static_cast<std::size_t>(
                 SolveRung::kNone)],
             0u);
+  // Figure 1 has both kinds of group: P3's needs a patch, so the solver
+  // answers it; the other holds on the input and is answered by step 0.
+  std::size_t solverAnswered = 0;
+  std::size_t stepZero = 0;
   for (const SubproblemReport& report : result.subproblems) {
     EXPECT_NE(report.rung, SolveRung::kNone) << report.destination;
     EXPECT_NE(std::string(solveRungName(report.rung)), "none");
+    if (report.rungReason == kInputHoldsReason) {
+      ++stepZero;
+      EXPECT_EQ(report.rung, SolveRung::kFull) << report.destination;
+      EXPECT_EQ(report.solverStats.checks, 0u) << report.destination;
+      continue;
+    }
+    ++solverAnswered;
     EXPECT_GE(report.solverStats.checks, 1u) << report.destination;
     EXPECT_GT(report.solverStats.vars, 0u) << report.destination;
     EXPECT_GT(report.solverStats.assertions, 0u) << report.destination;
   }
+  EXPECT_GE(solverAnswered, 1u);
+  EXPECT_GE(stepZero, 1u);
 }
 
 TEST_F(ObsTest, DegradationLadderReportsTheAnsweringRungAndWhy) {
@@ -1183,6 +1197,45 @@ TEST_F(ObsTest, TotalSecondsIsTheSynthesizeSpan) {
   ASSERT_NE(root, nullptr);
   EXPECT_NEAR(result.stats.totalSeconds,
               static_cast<double>(root->durUs) * 1e-6, 1e-9);
+}
+
+TEST_F(ObsTest, DeployPhaseSecondsAreTheSpanDurations) {
+  // The staged rollout's plan, execute, apply and validate times are their
+  // spans' durations, not a second clock reading.
+  const ConfigTree tree = parseNetworkConfig(figure1ConfigText());
+  AedOptions options;
+  options.stagedDeployment = true;
+  Tracer::enable();
+  const AedResult result =
+      synthesize(tree, figure1AllPolicies(), {}, options);
+  Tracer::disable();
+  ASSERT_TRUE(result.success) << result.error;
+  const DeploymentPlan& plan = result.deployment;
+  ASSERT_TRUE(plan.executed);
+  ASSERT_FALSE(plan.stages.empty());
+
+  std::map<std::string, double> spanSeconds;
+  std::map<std::string, int> spanCount;
+  for (const TraceEvent& event : Tracer::collect()) {
+    spanSeconds[event.name] += static_cast<double>(event.durUs) * 1e-6;
+    ++spanCount[event.name];
+  }
+  double applySeconds = 0.0;
+  double validateSeconds = 0.0;
+  for (const DeploymentStage& stage : plan.stages) {
+    applySeconds += stage.applySeconds;
+    validateSeconds += stage.validateSeconds;
+  }
+  EXPECT_EQ(spanCount["deploy.plan"], 1);
+  EXPECT_EQ(spanCount["deploy.execute"], 1);
+  EXPECT_EQ(static_cast<std::size_t>(spanCount["deploy.apply"]),
+            plan.stages.size());
+  EXPECT_EQ(static_cast<std::size_t>(spanCount["deploy.validate"]),
+            plan.stages.size());
+  EXPECT_NEAR(spanSeconds["deploy.plan"], plan.planSeconds, 1e-9);
+  EXPECT_NEAR(spanSeconds["deploy.execute"], plan.executeSeconds, 1e-9);
+  EXPECT_NEAR(spanSeconds["deploy.apply"], applySeconds, 1e-9);
+  EXPECT_NEAR(spanSeconds["deploy.validate"], validateSeconds, 1e-9);
 }
 
 TEST_F(ObsTest, SingleGroupRunsOnThePool) {
